@@ -1,9 +1,10 @@
 (* Benchmark harness.
 
    Two layers:
-   1. The experiment suite (E1-E10, see DESIGN.md Section 5): prints,
-      for every table/figure of the paper, the same rows/series the
-      paper reports, measured in deterministic simulated device time.
+   1. The experiment suite (E1-E23 and A1-A5, see DESIGN.md Section 5
+      and --list): prints, for every table/figure of the paper, the
+      same rows/series the paper reports, measured in deterministic
+      simulated device time.
    2. Bechamel wall-clock micro-benchmarks - one Test.make per
       experiment - measuring the cost of running each reproduction on
       the host (useful to track regressions of the simulator itself).
@@ -117,22 +118,14 @@ let print_experiments opts =
   in
   let reports = Experiments.all ~scale:opts.scale ~full:opts.full ~metrics () in
   let selected =
-    match opts.only with
-    | None -> reports
-    | Some ids ->
-      let known = List.map (fun (id, _, _) -> id) reports in
-      (match List.filter (fun id -> not (List.mem id known)) ids with
-       | [] -> ()
-       | unknown ->
-         Printf.eprintf
-           "main.exe: unknown experiment id%s %s\nValid ids: %s\nUsage: main.exe \
-            [--full] [--scale SCALE] [--no-wallclock] [--only IDS] [--json DIR] \
-            [--metrics DIR] [--force] [--list]\n"
-           (if List.length unknown > 1 then "s" else "")
-           (String.concat ", " unknown)
-           (String.concat ", " known);
-         exit 2);
-      List.filter (fun (id, _, _) -> List.mem id ids) reports
+    match Experiments.select opts.only reports with
+    | Ok selected -> selected
+    | Error msg ->
+      Printf.eprintf
+        "main.exe: %s\nUsage: main.exe [--full] [--scale SCALE] [--no-wallclock] \
+         [--only IDS] [--json DIR] [--metrics DIR] [--force] [--list]\n"
+        msg;
+      exit 2
   in
   List.iter
     (fun (id, _, thunk) ->

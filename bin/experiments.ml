@@ -1,6 +1,7 @@
-(* Regenerate every experiment table (E1-E10, see DESIGN.md Section 5
-   and EXPERIMENTS.md). All numbers are deterministic simulated device
-   time. *)
+(* Regenerate every experiment table (E1-E23 and A1-A5, see DESIGN.md
+   Section 5, EXPERIMENTS.md and [--list]). All numbers are
+   deterministic simulated device time. An unknown [--only] id exits 2
+   and lists the valid ids. *)
 
 module Experiments = Ghost_bench.Experiments
 module Report = Ghost_bench.Report
@@ -32,7 +33,8 @@ let full_arg =
 
 let only_arg =
   Arg.(value & opt (some (list string)) None
-       & info [ "only" ] ~docv:"IDS" ~doc:"Run only the given experiment ids (E1..E10).")
+       & info [ "only" ] ~docv:"IDS" ~doc:"Run only the given comma-separated experiment ids (see $(b,--list)); \
+                 an unknown id exits with status 2.")
 
 let list_arg =
   Arg.(value & flag
@@ -86,9 +88,11 @@ let run scale full only list metrics_dir force =
       reports
   else begin
     let selected =
-      match only with
-      | None -> reports
-      | Some ids -> List.filter (fun (id, _, _) -> List.mem id ids) reports
+      match Experiments.select only reports with
+      | Ok selected -> selected
+      | Error msg ->
+        Printf.eprintf "experiments: %s\n" msg;
+        exit 2
     in
     List.iter
       (fun (id, _, thunk) ->

@@ -1925,3 +1925,16 @@ let all ?(scale = default_scale) ?(full = false)
     ("A5", "ablation: deep Cross-filtering at intermediate levels",
      fun () -> ablation_deep_cross ~scale ());
   ]
+
+let select only suite =
+  match only with
+  | None -> Ok suite
+  | Some ids ->
+    let known = List.map (fun (id, _, _) -> id) suite in
+    (match List.filter (fun id -> not (List.mem id known)) ids with
+     | [] -> Ok (List.filter (fun (id, _, _) -> List.mem id ids) suite)
+     | unknown ->
+       Error
+         (Printf.sprintf "unknown experiment id%s %s\nValid ids: %s"
+            (if List.length unknown > 1 then "s" else "")
+            (String.concat ", " unknown) (String.concat ", " known)))

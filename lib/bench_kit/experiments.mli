@@ -201,3 +201,13 @@ val all :
     [metrics] supplies, per experiment id, an optional registry for
     the instrumented experiments (E16–E23) to record into; defaults to
     none for all. *)
+
+val select :
+  string list option ->
+  (string * string * 'a) list ->
+  ((string * string * 'a) list, string) result
+(** [select only suite] keeps the entries of [suite] whose ids [only]
+    names, in suite order; [None] keeps them all. An id missing from
+    [suite] is an [Error] whose message names the unknown ids and lists
+    the valid ones: the [--only] check of [bin/experiments] and
+    [bench/main]. *)

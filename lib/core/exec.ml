@@ -49,11 +49,15 @@ let fail fmt = Printf.ksprintf (fun s -> raise (Exec_error s)) fmt
 (* A candidate row mid-flight: the SKT id vector plus visible values
    attached by the projection joins so far (reverse order). Rows coming
    from the insert delta log carry their own hidden values (they are
-   not in the column stores). *)
+   not in the column stores). A row that failed a predicate is dropped
+   at once, except under [Full]: there it rides through every stage
+   with [live = false], so the work done never depends on the data, and
+   is stripped only as its tuple is materialised. *)
 type row = {
   ids : int array;
   mutable attached : Value.t list;
   delta_hidden : (string * Value.t) list option;
+  live : bool;
 }
 
 type context = {
@@ -65,6 +69,8 @@ type context = {
   scratch : Flash.t;  (* spill region: shared (serial) or per-session *)
   cache : Page_cache.t option;  (* shared buffer manager, when configured *)
   resources : Resources.t;
+  skt : Skt.t option;  (* the plan root's SKT *)
+  levels : string list;  (* its level layout: the root's subtree, preorder *)
   mutable ops_rev : op_stats list;
   exact_post : bool;
   bloom_fpr : float;
@@ -144,6 +150,23 @@ let column_store_exn ctx ~table ~column =
   | Some cs -> cs
   | None -> fail "no device column store for %s.%s" table column
 
+(* Index of [table]'s id in an SKT row of the plan root. *)
+let level_of ctx table =
+  let rec loop i = function
+    | [] -> fail "table %s is not in the subtree of %s" table ctx.plan.Plan.root
+    | t :: rest -> if t = table then i else loop (i + 1) rest
+  in
+  loop 0 ctx.levels
+
+(* A buffered reader over one hidden column, closed when the plan ends. *)
+let column_reader ctx ~table ~column =
+  let cs = column_store_exn ctx ~table ~column in
+  let reader =
+    Column_store.open_reader ~ram:ctx.ram ~buffer_bytes:256 ?cache:ctx.cache cs
+  in
+  Resources.defer ctx.resources (fun () -> Column_store.close_reader reader);
+  reader
+
 (* ---- oblivious metering ----
 
    The three USB sites whose lengths could betray hidden data: id-list
@@ -218,9 +241,12 @@ let emit_row_width ctx =
    power-of-two bucket; [Full] pads to the bound itself. The bound is
    the live root cardinality capped by the query's LIMIT — both public
    (the spy watched every load, insert and delete, and the LIMIT rides
-   in the query text). *)
-let emit_rows ctx ~count ~bytes =
+   in the query text). [Off] and [Pad] charge the bytes of the
+   [unlimited] rows materialised before the LIMIT cut; [Full] charges
+   the [count] rows it emits, so its frame never outgrows the bound. *)
+let emit_rows ctx ~count ~unlimited =
   let device = ctx.device in
+  let width = emit_row_width ctx in
   let live = Catalog.live_count ctx.catalog ctx.plan.Plan.root in
   let bound =
     let b =
@@ -232,31 +258,44 @@ let emit_rows ctx ~count ~bytes =
        the real count overrun the padding target *)
     max b count
   in
-  match ctx.plan.Plan.oblivious with
-  | Oblivious.Off ->
-    Device.emit_result device
-      ~obl:{ Trace.obl_bound = bound; obl_values = bound + 1; obl_pad_bytes = 0 }
-      ~count ~bytes
-  | (Oblivious.Pad | Oblivious.Full) as m ->
-    let width = emit_row_width ctx in
-    let padded, values =
-      match m with
-      | Oblivious.Pad ->
-        (Oblivious.pad_count ~bound count, Oblivious.bucket_values ~bound)
-      | Oblivious.Off | Oblivious.Full -> (bound, 1)
-    in
-    let padded_bytes = max bytes (padded * width) in
+  let padded ~count ~values ~bytes ~padded_bytes =
     let pad = padded_bytes - bytes in
     ctx.pad_bytes <- ctx.pad_bytes + pad;
     Device.emit_result device
       ~obl:{ Trace.obl_bound = bound; obl_values = values; obl_pad_bytes = pad }
-      ~count:padded ~bytes:padded_bytes
+      ~count ~bytes:padded_bytes
+  in
+  match ctx.plan.Plan.oblivious with
+  | Oblivious.Off ->
+    Device.emit_result device
+      ~obl:{ Trace.obl_bound = bound; obl_values = bound + 1; obl_pad_bytes = 0 }
+      ~count ~bytes:(unlimited * width)
+  | Oblivious.Pad ->
+    let count = Oblivious.pad_count ~bound count in
+    let bytes = unlimited * width in
+    padded ~count ~values:(Oblivious.bucket_values ~bound) ~bytes
+      ~padded_bytes:(max bytes (count * width))
+  | Oblivious.Full ->
+    padded ~count:bound ~values:1 ~bytes:(count * width)
+      ~padded_bytes:(bound * width)
 
 (* ---- pre-filter sources ---- *)
 
 let union ctx sources =
   Merge_union.union ~ram:ctx.ram ~scratch:ctx.scratch
     ~resources:ctx.resources ~cpu:(cpu ctx) sources
+
+(* The id list of each visible predicate, selected host-side and
+   shipped into the device; [charge] prices the device's intake of one
+   list. *)
+let receive_pred_lists ctx ~table ~charge preds =
+  List.map
+    (fun p ->
+       let ids = Public_store.select_ids ctx.public ~trace:(Device.trace ctx.device) p in
+       receive_ids ctx ~table ids;
+       charge ids;
+       ids)
+    preds
 
 (* The sorted id list a set of visible predicates selects, shipped into
    the device. *)
@@ -266,12 +305,8 @@ let ship_visible_ids ctx ~table preds =
        compact wire format (a no-op batch under the verbose default). *)
     let lists =
       Device.with_usb_batch ctx.device (fun () ->
-        List.map
-          (fun p ->
-             let ids = Public_store.select_ids ctx.public ~trace:(Device.trace ctx.device) p in
-             receive_ids ctx ~table ids;
-             cpu ctx (Array.length ids);
-             ids)
+        receive_pred_lists ctx ~table
+          ~charge:(fun ids -> cpu ctx (Array.length ids))
           preds)
     in
     let ids =
@@ -281,6 +316,21 @@ let ship_visible_ids ctx ~table preds =
     in
     ctx.shipped <- (table, ids) :: ctx.shipped;
     (ids, Array.length ids))
+
+(* [Full]'s shipment: one frame per predicate, each padded to the table
+   cardinality and charged at it. *)
+let ship_padded_ids ctx (g : Plan.group) =
+  let table = g.Plan.g_table in
+  ignore
+    (measure ctx (Printf.sprintf "ShipPadded(%s)" table) ~tuples_in:0 (fun () ->
+       let bound = Public_store.cardinality ctx.public table in
+       let lists =
+         receive_pred_lists ctx ~table ~charge:(fun _ -> cpu ctx bound)
+           g.Plan.g_visible
+       in
+       let ids = Sorted_ids.intersect_many lists in
+       ctx.shipped <- (table, ids) :: ctx.shipped;
+       ((), Array.length ids)))
 
 (* Union of the per-value lists of one hidden predicate at [level]. *)
 let hidden_pred_cursor ctx ~table ~(pred : Predicate.t) ~level =
@@ -328,19 +378,24 @@ let intersect_cursors cursors =
   | first :: rest ->
     Some (List.fold_left (Cursor.intersect_sorted ~cmp:Int.compare) first rest)
 
+(* A group whose visible predicates Pre-filter (ship id lists into the
+   device), or Post-filter (build Bloom filters). *)
+let is_pre (g : Plan.group) =
+  g.Plan.g_visible <> []
+  &&
+  match g.Plan.g_visible_strategy with
+  | Plan.V_pre | Plan.V_cross_pre -> true
+  | Plan.V_post | Plan.V_cross_post -> false
+
+let is_post (g : Plan.group) = g.Plan.g_visible <> [] && not (is_pre g)
+
 (* The sorted R-id stream contributed by one plan group, if any. *)
 let group_pre_cursor ctx (g : Plan.group) =
   let root = ctx.plan.Plan.root in
   let indexed =
     List.filter (fun (h : Plan.hidden_pred) -> h.Plan.h_strategy = Plan.H_index) g.Plan.g_hidden
   in
-  let visible_pre =
-    g.Plan.g_visible <> []
-    &&
-    match g.Plan.g_visible_strategy with
-    | Plan.V_pre | Plan.V_cross_pre -> true
-    | Plan.V_post | Plan.V_cross_post -> false
-  in
+  let visible_pre = is_pre g in
   let cross =
     visible_pre
     && g.Plan.g_visible_strategy = Plan.V_cross_pre
@@ -418,17 +473,20 @@ type hidden_check = {
   hc_reader : Column_store.reader;
 }
 
-let build_bloom ctx ~level_of (g : Plan.group) =
+let open_check ctx (g : Plan.group) (h : Plan.hidden_pred) =
+  let table = g.Plan.g_table in
+  {
+    hc_pred = h.Plan.h_pred;
+    hc_level = level_of ctx table;
+    hc_reader = column_reader ctx ~table ~column:h.Plan.h_pred.Predicate.column;
+  }
+
+let build_bloom ctx (g : Plan.group) =
   let table = g.Plan.g_table in
   measure ctx (Printf.sprintf "BloomBuild(%s)" table) ~tuples_in:0 (fun () ->
     let lists =
       Device.with_usb_batch ctx.device (fun () ->
-        List.map
-          (fun p ->
-             let ids = Public_store.select_ids ctx.public ~trace:(Device.trace ctx.device) p in
-             receive_ids ctx ~table ids;
-             ids)
-          g.Plan.g_visible)
+        receive_pred_lists ctx ~table ~charge:ignore g.Plan.g_visible)
     in
     let t_ids = Sorted_ids.intersect_many lists in
     (* Cross-post: shrink the insertion set with the hidden predicates'
@@ -463,7 +521,7 @@ let build_bloom ctx ~level_of (g : Plan.group) =
          Bloom.add bf id;
          cpu ctx (Bloom.k bf))
       t_ids;
-    ( { bf_table = table; bf_level = level_of table; bf; bf_cell = cell },
+    ( { bf_table = table; bf_level = level_of ctx table; bf; bf_cell = cell },
       Array.length t_ids ))
 
 (* ---- projection phase ---- *)
@@ -571,10 +629,506 @@ let check_bloom_fpr fpr =
       (Printf.sprintf
          "Exec: bloom_fpr must lie strictly between 0 and 1, got %g" fpr)
 
-let execute_baseline ~exact_post ~bloom_fpr ~scratch catalog public plan =
+(* ---- the pipeline ----
+
+   setup -> candidates -> delta scan -> projection joins -> tuple
+   materialisation -> aggregate / ORDER BY / LIMIT -> emit -> scratch
+   reclaim -> result.
+
+   One pipeline serves every {!Oblivious.mode}. The mode picks a
+   {!shape} — the few stage parameters that differ — and, inside the
+   metering sites above, how USB and display frames are padded. *)
+
+(* The SKT row of each root id, read through a small buffered reader:
+   a point-probe window keeps the charged read close to the row size
+   while still batching adjacent ids. *)
+let skt_rows ctx =
+  let reader =
+    Option.map
+      (fun skt -> Skt.open_reader ~ram:ctx.ram ~buffer_bytes:64 ?cache:ctx.cache skt)
+      ctx.skt
+  in
+  Option.iter
+    (fun r -> Resources.defer ctx.resources (fun () -> Skt.close_reader r))
+    reader;
+  fun id -> match reader with Some r -> Skt.get r id | None -> [| id |]
+
+(* Deleted root rows: load the tombstone log into RAM once and filter
+   every candidate (main and delta) against it. *)
+let load_tombstones ctx =
+  match Catalog.tombstone ctx.catalog ctx.plan.Plan.root with
+  | None -> [||]
+  | Some log ->
+    measure ctx "TombstoneLoad" ~tuples_in:0 (fun () ->
+      let ids = Tombstone_log.load_sorted log in
+      let cell =
+        Ram.alloc ctx.ram ~label:"tombstones" (max 4 (4 * Array.length ids))
+      in
+      Resources.defer ctx.resources (fun () -> Ram.free ctx.ram cell);
+      cpu ctx (Array.length ids);
+      (ids, Array.length ids))
+
+(* What the candidate stage hands on: the rows from the main
+   structures, the Bloom filters Post-filtering built (the delta scan
+   and the verification joins reuse them), and the hidden-column
+   checks it opened. *)
+type candidates = {
+  main : row list;
+  blooms : bloom_filter list;
+  checks : hidden_check list;
+}
+
+(* [Off] / [Pad]: Pre-filter cursors merged into candidate root ids
+   ("Merge+Index"), Bloom filters for the Post-filtered groups, then
+   one SKT probe per candidate, short-circuiting on the first failed
+   Bloom filter or hidden-column check. *)
+let indexed_candidates ctx ~tombstones =
+  let plan = ctx.plan in
+  let pre_cursors = List.filter_map (group_pre_cursor ctx) plan.Plan.groups in
+  let n_root = Catalog.table_count ctx.catalog plan.Plan.root in
+  let candidates =
+    measure ctx "Merge+Index" ~tuples_in:0 (fun () ->
+      let c =
+        match intersect_cursors pre_cursors with
+        | Some c -> c
+        | None ->
+          (* No pre source: enumerate all root ids (dense). *)
+          let i = ref 0 in
+          Cursor.make (fun () ->
+            incr i;
+            if !i > n_root then None else Some !i)
+      in
+      let arr = Cursor.to_array c in
+      cpu ctx (Array.length arr);
+      let arr =
+        (* A visible pre-filter on the root ships public-store ids,
+           which include rows inserted after the load. The SKT and
+           the column stores do not cover those: drop them here (the
+           delta scan finds them through the same id lists). *)
+        let n = Array.length arr in
+        if n = 0 || arr.(n - 1) <= n_root then arr
+        else begin
+          let k = ref 0 in
+          while !k < n && arr.(!k) <= n_root do incr k done;
+          Array.sub arr 0 !k
+        end
+      in
+      let arr =
+        if Array.length tombstones = 0 then arr
+        else Sorted_ids.difference arr tombstones
+      in
+      (arr, Array.length arr))
+  in
+  let blooms = List.map (build_bloom ctx) (List.filter is_post plan.Plan.groups) in
+  List.iter
+    (fun b -> Resources.defer ctx.resources (fun () -> Ram.free ctx.ram b.bf_cell))
+    blooms;
+  let checks =
+    List.concat_map
+      (fun (g : Plan.group) ->
+         List.filter_map
+           (fun (h : Plan.hidden_pred) ->
+              if h.Plan.h_strategy <> Plan.H_check then None
+              else Some (open_check ctx g h))
+           g.Plan.g_hidden)
+      plan.Plan.groups
+  in
+  let main =
+    measure ctx "AccessSKT" ~tuples_in:(Array.length candidates) (fun () ->
+      let skt_row = skt_rows ctx in
+      let rows =
+        Array.to_list candidates
+        |> List.filter_map (fun id ->
+          let ids = skt_row id in
+          let pass_blooms =
+            List.for_all
+              (fun b ->
+                 cpu ctx (Bloom.k b.bf);
+                 Bloom.mem b.bf ids.(b.bf_level))
+              blooms
+          in
+          let pass_checks =
+            pass_blooms
+            && List.for_all
+                 (fun hc ->
+                    cpu ctx 2;
+                    Predicate.holds hc.hc_pred
+                      (Column_store.get hc.hc_reader ids.(hc.hc_level)))
+                 checks
+          in
+          if pass_checks then
+            Some { ids; attached = []; delta_hidden = None; live = true }
+          else None)
+      in
+      (rows, List.length rows))
+  in
+  { main; blooms; checks }
+
+(* [Full]'s per-row test: every hidden check and every shipped-list
+   membership is evaluated and charged whatever an earlier one said — a
+   skipped test would show on the clock. [value] reads a check's
+   column for this row. *)
+let uniform_live ctx ~tombstones ~checks ~value ids =
+  let dead = Sorted_ids.member tombstones ids.(0) in
+  let hidden_ok =
+    List.fold_left
+      (fun acc hc ->
+         cpu ctx 2;
+         let ok = Predicate.holds hc.hc_pred (value hc) in
+         acc && ok)
+      true checks
+  in
+  let visible_ok =
+    List.fold_left
+      (fun acc (table, shipped) ->
+         cpu ctx 2;
+         let m = Sorted_ids.member shipped ids.(level_of ctx table) in
+         acc && m)
+      true ctx.shipped
+  in
+  (not dead) && hidden_ok && visible_ok
+
+(* [Full]: every visible id list ships padded to its table's
+   cardinality (the real intersection stays host-side for membership),
+   every hidden predicate becomes a check, and the SKT is scanned
+   bound-depth — every loaded root id, all the predicate work on each,
+   the outcome kept as a live flag. *)
+let bound_scan ctx ~tombstones =
+  let plan = ctx.plan in
+  List.iter
+    (fun (g : Plan.group) -> if g.Plan.g_visible <> [] then ship_padded_ids ctx g)
+    plan.Plan.groups;
+  let checks =
+    List.concat_map
+      (fun (g : Plan.group) -> List.map (open_check ctx g) g.Plan.g_hidden)
+      plan.Plan.groups
+  in
+  let n_root = Catalog.table_count ctx.catalog plan.Plan.root in
+  let main =
+    measure ctx "BoundScan" ~tuples_in:n_root (fun () ->
+      let skt_row = skt_rows ctx in
+      let out = ref [] in
+      let live_out = ref 0 in
+      for id = 1 to n_root do
+        let ids = skt_row id in
+        cpu ctx 1;
+        let live =
+          uniform_live ctx ~tombstones ~checks ids ~value:(fun hc ->
+            Column_store.get hc.hc_reader ids.(hc.hc_level))
+        in
+        if live then incr live_out;
+        out := { ids; attached = []; delta_hidden = None; live } :: !out
+      done;
+      (List.rev !out, !live_out))
+  in
+  { main; blooms = []; checks }
+
+(* Rows inserted after the load live in the delta log: scan it,
+   applying every predicate directly (indexes do not cover them).
+   [make_test] runs inside the operator, so the readers it opens are
+   charged there. Every scanned record comes back, flagged. *)
+let scan_delta ctx log ~tuples_in ?lo ?hi make_test =
+  measure ctx "DeltaScan" ~tuples_in (fun () ->
+    let test = make_test () in
+    let out = ref [] in
+    let live_out = ref 0 in
+    Delta_log.scan_range ?lo ?hi log (fun r ->
+      cpu ctx 5;
+      let live = test r in
+      if live then incr live_out;
+      out :=
+        {
+          ids = r.Delta_log.ids;
+          attached = [];
+          delta_hidden = Some (Delta_log.hidden_assoc log r);
+          live;
+        }
+        :: !out);
+    (List.rev !out, !live_out))
+
+(* [Off] / [Pad]: visible Pre-filter predicates use the shipped id
+   lists; Post predicates use the Bloom filters (plus the exact
+   verification joins, like main rows). With leveled runs, a
+   Pre-filtered root selection fences the scan: run pages outside the
+   shipped id range are skipped (superset emission; the membership
+   test still decides). The flat log has no runs, so the fence changes
+   nothing there. *)
+let fenced_delta_scan ctx ~tombstones cands log =
+  let plan = ctx.plan in
+  let root = plan.Plan.root in
+  let lo, hi =
+    if not (Delta_log.runs_enabled log) then (None, None)
+    else if not (List.exists (fun (g : Plan.group) -> g.Plan.g_table = root && is_pre g)
+                   plan.Plan.groups)
+    then (None, None)
+    else
+      match List.assoc_opt root ctx.shipped with
+      | Some ids when Array.length ids > 0 ->
+        (Some ids.(0), Some ids.(Array.length ids - 1))
+      | Some _ -> (Some 0, Some (-1))  (* empty selection *)
+      | None -> (None, None)
+  in
+  scan_delta ctx log ~tuples_in:(Delta_log.count log) ?lo ?hi (fun () ->
+    let hidden_evals =
+      List.concat_map
+        (fun (g : Plan.group) ->
+           List.map
+             (fun (h : Plan.hidden_pred) ->
+                let table = g.Plan.g_table in
+                let pred = h.Plan.h_pred in
+                if table = root then
+                  fun (r : Delta_log.row) ->
+                    Predicate.holds pred
+                      (Delta_log.hidden_value log r pred.Predicate.column)
+                else begin
+                  let reader =
+                    column_reader ctx ~table ~column:pred.Predicate.column
+                  in
+                  let lvl = level_of ctx table in
+                  fun (r : Delta_log.row) ->
+                    Predicate.holds pred
+                      (Column_store.get reader r.Delta_log.ids.(lvl))
+                end)
+             g.Plan.g_hidden)
+        plan.Plan.groups
+    in
+    let visible_pre_checks =
+      List.filter_map
+        (fun (g : Plan.group) ->
+           if not (is_pre g) then None
+           else begin
+             let lvl = level_of ctx g.Plan.g_table in
+             match List.assoc_opt g.Plan.g_table ctx.shipped with
+             | Some ids ->
+               Some
+                 (fun (r : Delta_log.row) ->
+                    Sorted_ids.member ids r.Delta_log.ids.(lvl))
+             | None -> fail "delta scan: no shipped id list for %s" g.Plan.g_table
+           end)
+        plan.Plan.groups
+    in
+    fun r ->
+      not (Sorted_ids.member tombstones r.Delta_log.ids.(0))
+      && List.for_all (fun f -> f r) hidden_evals
+      && List.for_all (fun f -> f r) visible_pre_checks
+      && List.for_all
+           (fun b ->
+              cpu ctx (Bloom.k b.bf);
+              Bloom.mem b.bf r.Delta_log.ids.(b.bf_level))
+           cands.blooms)
+  |> List.filter (fun row -> row.live)
+
+(* [Full]: the log is scanned end to end (its length is public: the
+   spy watched every insert, and compaction folding depends only on the
+   public insert/delete volume) with the same uniform test as the
+   bound scan. No fence: the touched page set never depends on the
+   selection. *)
+let uniform_delta_scan ctx ~tombstones cands log =
+  scan_delta ctx log ~tuples_in:(Delta_log.physical_records log) (fun () r ->
+    uniform_live ctx ~tombstones ~checks:cands.checks r.Delta_log.ids
+      ~value:(fun hc ->
+        if hc.hc_level = 0 then
+          Delta_log.hidden_value log r hc.hc_pred.Predicate.column
+        else Column_store.get hc.hc_reader r.Delta_log.ids.(hc.hc_level)))
+
+let visible_preds_on ctx table =
+  let schema = ctx.catalog.Catalog.schema in
+  List.filter
+    (fun (p : Predicate.t) ->
+       p.Predicate.table = table
+       &&
+       let tbl = Schema.find_table schema table in
+       not (Column.is_hidden (Schema.find_column tbl p.Predicate.column)))
+    ctx.plan.Plan.query.Bind.selections
+
+(* The stages the mode decides; every other stage is shared.
+
+   Under [Full] everything the spy observes — frame count, frame
+   lengths, page-touch counts, the simulated clock — is a function of
+   the schema and of public bounds (table cardinalities, live root
+   count, delta / tombstone log lengths), never of hidden data.
+   Filtering rides on the rows' live flags, so the answer is still
+   exact. RAM occupancy inside the tamper-resistant device may vary
+   with the data; it is not on any spy-visible link. *)
+type shape = {
+  candidates : context -> tombstones:int array -> candidates;
+  delta_scan :
+    context -> tombstones:int array -> candidates -> Delta_log.t -> row list;
+  stream_preds : context -> string -> Predicate.t list;
+      (* the visible predicates a projection stream is filtered by;
+         [Full] fetches whole columns, so stream lengths are table
+         cardinalities *)
+  charged_rows : all:int -> real:int -> int;
+      (* the row count aggregation and ORDER BY are charged at: the
+         [real] one, or under [Full] [all] the rows the scans carried,
+         dead ones included *)
+}
+
+let indexed_shape =
+  {
+    candidates = indexed_candidates;
+    delta_scan = fenced_delta_scan;
+    stream_preds = visible_preds_on;
+    charged_rows = (fun ~all:_ ~real -> real);
+  }
+
+let fixed_shape =
+  {
+    candidates = bound_scan;
+    delta_scan = uniform_delta_scan;
+    stream_preds = (fun _ _ -> []);
+    charged_rows = (fun ~all ~real:_ -> all);
+  }
+
+let shape_of = function
+  | Oblivious.Off | Oblivious.Pad -> indexed_shape
+  | Oblivious.Full -> fixed_shape
+
+(* The visible non-key columns the query projects, each fetched as one
+   (id, value) stream from the public store. *)
+let projected_visible ctx =
+  let schema = ctx.catalog.Catalog.schema in
+  List.filter_map
+    (fun (table, column) ->
+       let tbl = Schema.find_table schema table in
+       if column = tbl.Schema.key then None
+       else begin
+         let col = Schema.find_column tbl column in
+         if Column.is_hidden col then None else Some (table, column, col.Column.ty)
+       end)
+    ctx.plan.Plan.query.Bind.projections
+  |> List.sort_uniq compare
+
+(* Projection joins: the visible projected columns, plus verification
+   of Post-filtered tables — Bloom false positives never reach the
+   result under [exact_post]. *)
+let projection_joins ctx shape ~blooms ~projected rows =
+  let post_tables = List.map (fun b -> b.bf_table) blooms in
+  let rows =
+    List.fold_left
+      (fun rows (table, column, ty) ->
+         let fetch () =
+           let stream =
+             Public_store.stream_column ctx.public ~trace:(Device.trace ctx.device)
+               ~table ~column ~preds:(shape.stream_preds ctx table)
+           in
+           receive_stream ctx ~table ~column ~ty stream;
+           stream
+         in
+         join_stream ctx
+           ~label:(Printf.sprintf "Project+Join(%s.%s)" table column)
+           ~level:(level_of ctx table)
+           ~verify:(ctx.exact_post && List.mem table post_tables)
+           ~attach_value:true ~value_width:(Value.ty_width ty) ~rows fetch)
+      rows projected
+  in
+  let verify_only_tables =
+    if not ctx.exact_post then []
+    else
+      List.filter
+        (fun t -> not (List.exists (fun (t', _, _) -> t' = t) projected))
+        post_tables
+  in
+  List.fold_left
+    (fun rows table ->
+       join_stream ctx
+         ~label:(Printf.sprintf "Verify(%s)" table)
+         ~level:(level_of ctx table) ~verify:true ~attach_value:false ~value_width:0
+         ~rows
+         (fun () ->
+            let ids = ship_visible_ids ctx ~table (visible_preds_on ctx table) in
+            Array.map (fun id -> (id, Value.Null)) ids))
+    rows verify_only_tables
+
+(* Tuple materialisation, aggregate, ORDER BY / LIMIT and emission to
+   the secure display. Tuples are materialised for dead rows too
+   (identical hidden-column page touches), then dropped. *)
+let project ctx shape ~projected rows =
+  let plan = ctx.plan in
+  let schema = ctx.catalog.Catalog.schema in
+  let root = plan.Plan.root in
+  let attach_order = List.map (fun (t, c, _) -> (t, c)) projected in
+  measure ctx "Project" ~tuples_in:(List.length rows) (fun () ->
+    (* Readers for projected hidden columns. *)
+    let hidden_readers = Hashtbl.create 8 in
+    let reader_for table column =
+      match Hashtbl.find_opt hidden_readers (table, column) with
+      | Some r -> r
+      | None ->
+        let r = column_reader ctx ~table ~column in
+        Hashtbl.replace hidden_readers (table, column) r;
+        r
+    in
+    let tuples =
+      List.filter_map
+        (fun row ->
+           let attached = Array.of_list (List.rev row.attached) in
+           let tuple =
+             Array.of_list
+               (List.map
+                  (fun (table, column) ->
+                     cpu ctx 2;
+                     let tbl = Schema.find_table schema table in
+                     if column = tbl.Schema.key then Value.Int row.ids.(level_of ctx table)
+                     else if Column.is_hidden (Schema.find_column tbl column) then begin
+                       match row.delta_hidden with
+                       | Some assoc when table = root -> List.assoc column assoc
+                       | Some _ | None ->
+                         Column_store.get (reader_for table column)
+                           row.ids.(level_of ctx table)
+                     end
+                     else begin
+                       let rec pos i = function
+                         | [] -> fail "projection %s.%s not attached" table column
+                         | (t, c) :: rest ->
+                           if t = table && c = column then i else pos (i + 1) rest
+                       in
+                       attached.(pos 0 attach_order)
+                     end)
+                  plan.Plan.query.Bind.projections)
+           in
+           if row.live then Some tuple else None)
+        rows
+    in
+    let charged = shape.charged_rows ~all:(List.length rows) in
+    (* Aggregate queries fold the base rows on the device; the group
+       table is RAM-resident. *)
+    let out =
+      match plan.Plan.query.Bind.aggregate with
+      | None -> tuples
+      | Some spec ->
+        cpu ctx (5 * charged ~real:(List.length tuples));
+        let grouped = Ghost_sql.Aggregate.apply spec tuples in
+        let group_bytes =
+          max 16
+            (List.length grouped * 8 * max 1 (List.length spec.Ghost_sql.Aggregate.output))
+        in
+        Ram.with_alloc ctx.ram ~label:"aggregate-groups" group_bytes (fun _ -> ());
+        grouped
+    in
+    let unlimited = List.length out in
+    (* ORDER BY / LIMIT: the output rows are sorted in device RAM just
+       before emission. *)
+    let out =
+      match plan.Plan.query.Bind.order_by, plan.Plan.query.Bind.limit with
+      | [], None -> out
+      | order_by, limit ->
+        let n = charged ~real:unlimited in
+        cpu ctx (n * Ext_sort.log2_ceil n);
+        Ram.with_alloc ctx.ram ~label:"order-by"
+          (max 16 (n * 8))
+          (fun _ -> Ghost_sql.Postproc.apply ~order_by ~limit out)
+    in
+    emit_rows ctx ~count:(List.length out) ~unlimited;
+    (out, List.length out))
+
+let execute_once ~exact_post ~bloom_fpr ~scratch catalog public plan =
   Plan.validate plan;
   check_bloom_fpr bloom_fpr;
+  let shape = shape_of plan.Plan.oblivious in
   let device = catalog.Catalog.device in
+  let root = plan.Plan.root in
+  let skt = Catalog.skt catalog root in
   Resources.with_resources (fun resources ->
     let ctx =
       {
@@ -586,6 +1140,8 @@ let execute_baseline ~exact_post ~bloom_fpr ~scratch catalog public plan =
         scratch;
         cache = Device.page_cache device;
         resources;
+        skt;
+        levels = (match skt with Some s -> Skt.levels s | None -> [ root ]);
         ops_rev = [];
         exact_post;
         bloom_fpr;
@@ -594,8 +1150,6 @@ let execute_baseline ~exact_post ~bloom_fpr ~scratch catalog public plan =
         pad_bytes = 0;
       }
     in
-    let schema = catalog.Catalog.schema in
-    let root = plan.Plan.root in
     let trace = Device.trace device in
     let global_scope = Ram.open_scope ctx.ram in
     (* If execution dies mid-plan (cancellation, RAM exhaustion), the
@@ -609,421 +1163,23 @@ let execute_baseline ~exact_post ~bloom_fpr ~scratch catalog public plan =
       (measure ctx "ReceiveQuery" ~tuples_in:0 (fun () ->
          Device.receive_query device plan.Plan.query.Bind.text;
          ((), 0)));
-    (* SKT layout for the plan root. *)
-    let skt_opt = Catalog.skt catalog root in
-    let levels =
-      match skt_opt with
-      | Some skt -> Skt.levels skt
-      | None -> [ root ]
-    in
-    let level_of table =
-      let rec loop i = function
-        | [] -> fail "table %s is not in the subtree of %s" table root
-        | t :: rest -> if t = table then i else loop (i + 1) rest
-      in
-      loop 0 levels
-    in
-    (* Deleted root rows: load the tombstone log into RAM once and
-       filter every candidate (main and delta) against it. *)
-    let tombstones =
-      match Catalog.tombstone catalog root with
-      | None -> [||]
-      | Some log ->
-        measure ctx "TombstoneLoad" ~tuples_in:0 (fun () ->
-          let ids = Tombstone_log.load_sorted log in
-          let cell =
-            Ram.alloc ctx.ram ~label:"tombstones" (max 4 (4 * Array.length ids))
-          in
-          Resources.defer resources (fun () -> Ram.free ctx.ram cell);
-          cpu ctx (Array.length ids);
-          (ids, Array.length ids))
-    in
-    (* 1. Pre-filter: candidate R ids ("Merge+Index"). *)
-    let pre_cursors = List.filter_map (group_pre_cursor ctx) plan.Plan.groups in
-    let n_root = Catalog.table_count catalog root in
-    let candidates =
-      measure ctx "Merge+Index" ~tuples_in:0 (fun () ->
-        let c =
-          match intersect_cursors pre_cursors with
-          | Some c -> c
-          | None ->
-            (* No pre source: enumerate all root ids (dense). *)
-            let i = ref 0 in
-            Cursor.make (fun () ->
-              incr i;
-              if !i > n_root then None else Some !i)
-        in
-        let arr = Cursor.to_array c in
-        cpu ctx (Array.length arr);
-        let arr =
-          (* A visible pre-filter on the root ships public-store ids,
-             which include rows inserted after the load. The SKT and
-             the column stores do not cover those: drop them here (the
-             delta scan below finds them through the same id lists). *)
-          let n = Array.length arr in
-          if n = 0 || arr.(n - 1) <= n_root then arr
-          else begin
-            let k = ref 0 in
-            while !k < n && arr.(!k) <= n_root do incr k done;
-            Array.sub arr 0 !k
-          end
-        in
-        let arr =
-          if Array.length tombstones = 0 then arr
-          else Sorted_ids.difference arr tombstones
-        in
-        (arr, Array.length arr))
-    in
-    (* 2. Post-filter structures. *)
-    let post_groups =
-      List.filter
-        (fun (g : Plan.group) ->
-           g.Plan.g_visible <> []
-           &&
-           match g.Plan.g_visible_strategy with
-           | Plan.V_post | Plan.V_cross_post -> true
-           | Plan.V_pre | Plan.V_cross_pre -> false)
-        plan.Plan.groups
-    in
-    let blooms = List.map (fun g -> build_bloom ctx ~level_of g) post_groups in
-    List.iter (fun b -> Resources.defer resources (fun () -> Ram.free ctx.ram b.bf_cell)) blooms;
-    let checks =
-      List.concat_map
-        (fun (g : Plan.group) ->
-           List.filter_map
-             (fun (h : Plan.hidden_pred) ->
-                if h.Plan.h_strategy <> Plan.H_check then None
-                else begin
-                  let cs =
-                    column_store_exn ctx ~table:g.Plan.g_table
-                      ~column:h.Plan.h_pred.Predicate.column
-                  in
-                  let reader =
-                    Column_store.open_reader ~ram:ctx.ram ~buffer_bytes:256
-                      ?cache:ctx.cache cs
-                  in
-                  Resources.defer resources (fun () -> Column_store.close_reader reader);
-                  Some
-                    {
-                      hc_pred = h.Plan.h_pred;
-                      hc_level = level_of g.Plan.g_table;
-                      hc_reader = reader;
-                    }
-                end)
-             g.Plan.g_hidden)
-        plan.Plan.groups
-    in
-    (* 3. SKT access + probes. *)
-    let surviving =
-      measure ctx "AccessSKT" ~tuples_in:(Array.length candidates) (fun () ->
-        (* Point probes: a small window keeps the charged read close to
-           the row size while still batching adjacent candidates. *)
-        let reader =
-          Option.map
-            (fun skt -> Skt.open_reader ~ram:ctx.ram ~buffer_bytes:64 ?cache:ctx.cache skt)
-            skt_opt
-        in
-        Option.iter
-          (fun r -> Resources.defer resources (fun () -> Skt.close_reader r))
-          reader;
-        let rows =
-          Array.to_list candidates
-          |> List.filter_map (fun id ->
-            let ids =
-              match reader with
-              | Some r -> Skt.get r id
-              | None -> [| id |]
-            in
-            let pass_blooms =
-              List.for_all
-                (fun b ->
-                   cpu ctx (Bloom.k b.bf);
-                   Bloom.mem b.bf ids.(b.bf_level))
-                blooms
-            in
-            let pass_checks =
-              pass_blooms
-              && List.for_all
-                   (fun hc ->
-                      cpu ctx 2;
-                      Predicate.holds hc.hc_pred
-                        (Column_store.get hc.hc_reader ids.(hc.hc_level)))
-                   checks
-            in
-            if pass_checks then Some { ids; attached = []; delta_hidden = None }
-            else None)
-        in
-        (rows, List.length rows))
-    in
-    (* Rows inserted after the load live in the delta log: scan it,
-       applying every predicate directly (indexes do not cover them).
-       Visible Pre-filter predicates use the shipped id lists; Post
-       predicates use the Bloom filters (plus the exact verification
-       joins below, like main rows). *)
+    let tombstones = load_tombstones ctx in
+    let cands = shape.candidates ctx ~tombstones in
     let delta_rows =
       match Catalog.delta catalog root with
       | None -> []
-      | Some log ->
-        measure ctx "DeltaScan" ~tuples_in:(Delta_log.count log) (fun () ->
-          let hidden_evals =
-            List.concat_map
-              (fun (g : Plan.group) ->
-                 List.map
-                   (fun (h : Plan.hidden_pred) ->
-                      let table = g.Plan.g_table in
-                      let pred = h.Plan.h_pred in
-                      if table = root then
-                        fun (r : Delta_log.row) ->
-                          Predicate.holds pred
-                            (Delta_log.hidden_value log r pred.Predicate.column)
-                      else begin
-                        let cs =
-                          column_store_exn ctx ~table ~column:pred.Predicate.column
-                        in
-                        let reader =
-                          Column_store.open_reader ~ram:ctx.ram ~buffer_bytes:256
-                            ?cache:ctx.cache cs
-                        in
-                        Resources.defer resources (fun () ->
-                          Column_store.close_reader reader);
-                        let lvl = level_of table in
-                        fun (r : Delta_log.row) ->
-                          Predicate.holds pred
-                            (Column_store.get reader r.Delta_log.ids.(lvl))
-                      end)
-                   g.Plan.g_hidden)
-              plan.Plan.groups
-          in
-          let visible_pre_checks =
-            List.filter_map
-              (fun (g : Plan.group) ->
-                 if g.Plan.g_visible = [] then None
-                 else
-                   match g.Plan.g_visible_strategy with
-                   | Plan.V_pre | Plan.V_cross_pre ->
-                     let lvl = level_of g.Plan.g_table in
-                     (match List.assoc_opt g.Plan.g_table ctx.shipped with
-                      | Some ids ->
-                        Some
-                          (fun (r : Delta_log.row) ->
-                             Sorted_ids.member ids r.Delta_log.ids.(lvl))
-                      | None ->
-                        fail "delta scan: no shipped id list for %s" g.Plan.g_table)
-                   | Plan.V_post | Plan.V_cross_post -> None)
-              plan.Plan.groups
-          in
-          (* Merge-on-read bounds: with leveled runs, a Pre-filtered
-             root selection fences the scan — run pages outside the
-             shipped id range are skipped (superset emission; the
-             membership check below still decides). The flat log has
-             no runs, so the bounds change nothing there. *)
-          let lo, hi =
-            if not (Delta_log.runs_enabled log) then (None, None)
-            else begin
-              let root_pre =
-                List.exists
-                  (fun (g : Plan.group) ->
-                     g.Plan.g_table = root
-                     && g.Plan.g_visible <> []
-                     &&
-                     match g.Plan.g_visible_strategy with
-                     | Plan.V_pre | Plan.V_cross_pre -> true
-                     | Plan.V_post | Plan.V_cross_post -> false)
-                  plan.Plan.groups
-              in
-              if not root_pre then (None, None)
-              else
-                match List.assoc_opt root ctx.shipped with
-                | Some ids when Array.length ids > 0 ->
-                  (Some ids.(0), Some ids.(Array.length ids - 1))
-                | Some _ -> (Some 0, Some (-1))  (* empty selection *)
-                | None -> (None, None)
-            end
-          in
-          let out = ref [] in
-          Delta_log.scan_range ?lo ?hi log (fun r ->
-            cpu ctx 5;
-            let ok =
-              not (Sorted_ids.member tombstones r.Delta_log.ids.(0))
-              && List.for_all (fun f -> f r) hidden_evals
-              && List.for_all (fun f -> f r) visible_pre_checks
-              && List.for_all
-                   (fun b ->
-                      cpu ctx (Bloom.k b.bf);
-                      Bloom.mem b.bf r.Delta_log.ids.(b.bf_level))
-                   blooms
-            in
-            if ok then
-              out :=
-                {
-                  ids = r.Delta_log.ids;
-                  attached = [];
-                  delta_hidden = Some (Delta_log.hidden_assoc log r);
-                }
-                :: !out);
-          (List.rev !out, List.length !out))
+      | Some log -> shape.delta_scan ctx ~tombstones cands log
     in
-    let surviving = surviving @ delta_rows in
-    (* 4. Projection joins: visible projected columns + verification of
-       Post-filtered tables. *)
-    let projected_visible =
-      List.filter_map
-        (fun (table, column) ->
-           let tbl = Schema.find_table schema table in
-           if column = tbl.Schema.key then None
-           else begin
-             let col = Schema.find_column tbl column in
-             if Column.is_hidden col then None
-             else Some (table, column, col.Column.ty)
-           end)
-        plan.Plan.query.Bind.projections
-      |> List.sort_uniq compare
+    let projected = projected_visible ctx in
+    let rows =
+      projection_joins ctx shape ~blooms:cands.blooms ~projected
+        (cands.main @ delta_rows)
     in
-    let post_tables = List.map (fun b -> b.bf_table) blooms in
-    let verify_only_tables =
-      if not exact_post then []
-      else
-        List.filter
-          (fun t -> not (List.exists (fun (t', _, _) -> t' = t) projected_visible))
-          post_tables
-    in
-    let visible_preds_on table =
-      List.filter
-        (fun (p : Predicate.t) ->
-           p.Predicate.table = table
-           &&
-           let tbl = Schema.find_table schema table in
-           not (Column.is_hidden (Schema.find_column tbl p.Predicate.column)))
-        plan.Plan.query.Bind.selections
-    in
-    let rows = ref surviving in
-    List.iter
-      (fun (table, column, ty) ->
-         let width = Value.ty_width ty in
-         let fetch () =
-           let stream =
-             Public_store.stream_column ctx.public ~trace ~table ~column
-               ~preds:(visible_preds_on table)
-           in
-           receive_stream ctx ~table ~column ~ty stream;
-           stream
-         in
-         let verify = exact_post && List.mem table post_tables in
-         rows :=
-           join_stream ctx
-             ~label:(Printf.sprintf "Project+Join(%s.%s)" table column)
-             ~level:(level_of table) ~verify ~attach_value:true ~value_width:width
-             ~rows:!rows fetch)
-      projected_visible;
-    List.iter
-      (fun table ->
-         let preds = visible_preds_on table in
-         rows :=
-           join_stream ctx
-             ~label:(Printf.sprintf "Verify(%s)" table)
-             ~level:(level_of table) ~verify:true ~attach_value:false ~value_width:0
-             ~rows:!rows
-             (fun () ->
-                let ids = ship_visible_ids ctx ~table preds in
-                Array.map (fun id -> (id, Value.Null)) ids))
-      verify_only_tables;
-    (* 5. Final projection + emission to the secure display. *)
-    let attach_order = List.map (fun (t, c, _) -> (t, c)) projected_visible in
-    let result_rows =
-      measure ctx "Project" ~tuples_in:(List.length !rows) (fun () ->
-        (* Readers for projected hidden columns. *)
-        let hidden_readers = Hashtbl.create 8 in
-        let reader_for table column =
-          match Hashtbl.find_opt hidden_readers (table, column) with
-          | Some r -> r
-          | None ->
-            let cs = column_store_exn ctx ~table ~column in
-            let r =
-              Column_store.open_reader ~ram:ctx.ram ~buffer_bytes:256
-                ?cache:ctx.cache cs
-            in
-            Resources.defer resources (fun () -> Column_store.close_reader r);
-            Hashtbl.replace hidden_readers (table, column) r;
-            r
-        in
-        let emit_bytes = ref 0 in
-        let out =
-          List.map
-            (fun row ->
-               let attached = Array.of_list (List.rev row.attached) in
-               let tuple =
-                 Array.of_list
-                   (List.map
-                      (fun (table, column) ->
-                         cpu ctx 2;
-                         let tbl = Schema.find_table schema table in
-                         if column = tbl.Schema.key then
-                           Value.Int row.ids.(level_of table)
-                         else begin
-                           let col = Schema.find_column tbl column in
-                           emit_bytes := !emit_bytes + Value.ty_width col.Column.ty;
-                           if Column.is_hidden col then begin
-                             match row.delta_hidden with
-                             | Some assoc when table = root ->
-                               List.assoc column assoc
-                             | Some _ | None ->
-                               Column_store.get (reader_for table column)
-                                 row.ids.(level_of table)
-                           end
-                           else begin
-                             let rec pos i = function
-                               | [] -> fail "projection %s.%s not attached" table column
-                               | (t, c) :: rest ->
-                                 if t = table && c = column then i else pos (i + 1) rest
-                             in
-                             attached.(pos 0 attach_order)
-                           end
-                         end)
-                      plan.Plan.query.Bind.projections)
-               in
-               emit_bytes := !emit_bytes + (4 * List.length plan.Plan.query.Bind.projections);
-               tuple)
-            !rows
-        in
-        (* Aggregate queries fold the base rows on the device; the group
-           table is RAM-resident. *)
-        let out =
-          match plan.Plan.query.Bind.aggregate with
-          | None -> out
-          | Some spec ->
-            cpu ctx (5 * List.length out);
-            let grouped = Ghost_sql.Aggregate.apply spec out in
-            let group_bytes =
-              max 16
-                (List.length grouped
-                 * 8
-                 * max 1 (List.length spec.Ghost_sql.Aggregate.output))
-            in
-            Ram.with_alloc ctx.ram ~label:"aggregate-groups" group_bytes (fun _ -> ());
-            emit_bytes :=
-              List.length grouped * 8 * max 1 (List.length spec.Ghost_sql.Aggregate.output);
-            grouped
-        in
-        (* ORDER BY / LIMIT: the output rows are sorted in device RAM
-           just before emission. *)
-        let out =
-          match plan.Plan.query.Bind.order_by, plan.Plan.query.Bind.limit with
-          | [], None -> out
-          | order_by, limit ->
-            let n = List.length out in
-            cpu ctx (n * Ext_sort.log2_ceil n);
-            Ram.with_alloc ctx.ram ~label:"order-by"
-              (max 16 (n * 8))
-              (fun _ -> Ghost_sql.Postproc.apply ~order_by ~limit out)
-        in
-        emit_rows ctx ~count:(List.length out) ~bytes:!emit_bytes;
-        (out, List.length out))
-    in
-    (* 6. Reclaim the scratch region (block erases count). Live bytes,
-       not cumulative programs: a pooled per-session region carries the
+    let result_rows = project ctx shape ~projected rows in
+    (* Reclaim the scratch region (block erases count). Live bytes, not
+       cumulative programs: a pooled per-session region carries the
        program counters of earlier sessions, but only pages spilled by
        THIS plan are live here (the region is handed over erased). *)
-    let scratch = ctx.scratch in
     if Flash.live_bytes scratch > 0 then
       ignore
         (measure ctx "ScratchReclaim" ~tuples_in:0 (fun () ->
@@ -1059,397 +1215,6 @@ let execute_baseline ~exact_post ~bloom_fpr ~scratch catalog public plan =
       oblivious = plan.Plan.oblivious;
       padding_bytes = ctx.pad_bytes;
     })
-
-(* The fixed-shape path ([Plan.oblivious = Full]). Everything the spy
-   observes — frame count, frame lengths, page-touch counts, the
-   simulated clock — is a function of the schema and of public bounds
-   (table cardinalities, live root count, delta / tombstone log
-   lengths), never of hidden data:
-
-   - visible id lists ship padded to the table cardinality, one fixed
-     frame per predicate (the predicate count rides in the query
-     text); the real intersection stays host-side for membership;
-   - the SKT is scanned bound-depth: every loaded root id is visited
-     and EVERY hidden predicate evaluated on every candidate — no
-     short-circuiting, a skipped check would show on the clock;
-   - projection streams fetch the full column ([preds:[]]), so the
-     stream length is the table cardinality;
-   - the result is emitted padded to the live root count (capped by
-     the public LIMIT); dummies are stripped before rows return.
-
-   Filtering rides on live/dead flags carried beside each row, so the
-   answer is still exact. RAM occupancy inside the tamper-resistant
-   device may vary with the data; it is not on any spy-visible link. *)
-let execute_oblivious ~scratch catalog public plan =
-  Plan.validate plan;
-  let device = catalog.Catalog.device in
-  Resources.with_resources (fun resources ->
-    let ctx =
-      {
-        catalog;
-        public;
-        plan;
-        device;
-        ram = Device.ram device;
-        scratch;
-        cache = Device.page_cache device;
-        resources;
-        ops_rev = [];
-        exact_post = true;
-        bloom_fpr = 0.01;
-        bloom_fps = 0;
-        shipped = [];
-        pad_bytes = 0;
-      }
-    in
-    let schema = catalog.Catalog.schema in
-    let root = plan.Plan.root in
-    let trace = Device.trace device in
-    let global_scope = Ram.open_scope ctx.ram in
-    Resources.defer resources (fun () ->
-      ignore (Ram.close_scope ctx.ram global_scope));
-    let run_start = Device.snapshot device in
-    ignore
-      (measure ctx "ReceiveQuery" ~tuples_in:0 (fun () ->
-         Device.receive_query device plan.Plan.query.Bind.text;
-         ((), 0)));
-    let skt_opt = Catalog.skt catalog root in
-    let levels =
-      match skt_opt with
-      | Some skt -> Skt.levels skt
-      | None -> [ root ]
-    in
-    let level_of table =
-      let rec loop i = function
-        | [] -> fail "table %s is not in the subtree of %s" table root
-        | t :: rest -> if t = table then i else loop (i + 1) rest
-      in
-      loop 0 levels
-    in
-    let tombstones =
-      match Catalog.tombstone catalog root with
-      | None -> [||]
-      | Some log ->
-        measure ctx "TombstoneLoad" ~tuples_in:0 (fun () ->
-          let ids = Tombstone_log.load_sorted log in
-          let cell =
-            Ram.alloc ctx.ram ~label:"tombstones" (max 4 (4 * Array.length ids))
-          in
-          Resources.defer resources (fun () -> Ram.free ctx.ram cell);
-          cpu ctx (Array.length ids);
-          (ids, Array.length ids))
-    in
-    (* Padded visible shipments, CPU charged at the bound. *)
-    List.iter
-      (fun (g : Plan.group) ->
-         if g.Plan.g_visible <> [] then begin
-           let table = g.Plan.g_table in
-           ignore
-             (measure ctx (Printf.sprintf "ShipPadded(%s)" table) ~tuples_in:0
-                (fun () ->
-                   let lists =
-                     List.map
-                       (fun p ->
-                          let ids =
-                            Public_store.select_ids ctx.public ~trace p
-                          in
-                          receive_ids ctx ~table ids;
-                          cpu ctx (Public_store.cardinality ctx.public table);
-                          ids)
-                       g.Plan.g_visible
-                   in
-                   let ids = Sorted_ids.intersect_many lists in
-                   ctx.shipped <- (table, ids) :: ctx.shipped;
-                   ((), Array.length ids)))
-         end)
-      plan.Plan.groups;
-    (* Every hidden predicate becomes a per-candidate check. *)
-    let checks =
-      List.concat_map
-        (fun (g : Plan.group) ->
-           List.map
-             (fun (h : Plan.hidden_pred) ->
-                let cs =
-                  column_store_exn ctx ~table:g.Plan.g_table
-                    ~column:h.Plan.h_pred.Predicate.column
-                in
-                let reader =
-                  Column_store.open_reader ~ram:ctx.ram ~buffer_bytes:256
-                    ?cache:ctx.cache cs
-                in
-                Resources.defer resources (fun () ->
-                  Column_store.close_reader reader);
-                {
-                  hc_pred = h.Plan.h_pred;
-                  hc_level = level_of g.Plan.g_table;
-                  hc_reader = reader;
-                })
-             g.Plan.g_hidden)
-        plan.Plan.groups
-    in
-    (* Bound-depth scan: all the predicate work, on all the rows. The
-       folds below keep evaluating after a miss on purpose. *)
-    let n_root = Catalog.table_count catalog root in
-    let scanned =
-      measure ctx "BoundScan" ~tuples_in:n_root (fun () ->
-        let reader =
-          Option.map
-            (fun skt ->
-               Skt.open_reader ~ram:ctx.ram ~buffer_bytes:64 ?cache:ctx.cache skt)
-            skt_opt
-        in
-        Option.iter
-          (fun r -> Resources.defer resources (fun () -> Skt.close_reader r))
-          reader;
-        let out = ref [] in
-        let live_out = ref 0 in
-        for id = 1 to n_root do
-          let ids =
-            match reader with
-            | Some r -> Skt.get r id
-            | None -> [| id |]
-          in
-          cpu ctx 1;
-          let dead = Sorted_ids.member tombstones id in
-          let hidden_ok =
-            List.fold_left
-              (fun acc hc ->
-                 cpu ctx 2;
-                 let v = Column_store.get hc.hc_reader ids.(hc.hc_level) in
-                 let ok = Predicate.holds hc.hc_pred v in
-                 acc && ok)
-              true checks
-          in
-          let visible_ok =
-            List.fold_left
-              (fun acc (table, shipped) ->
-                 cpu ctx 2;
-                 let m = Sorted_ids.member shipped ids.(level_of table) in
-                 acc && m)
-              true ctx.shipped
-          in
-          let live = (not dead) && hidden_ok && visible_ok in
-          if live then incr live_out;
-          out := ({ ids; attached = []; delta_hidden = None }, live) :: !out
-        done;
-        (List.rev !out, !live_out))
-    in
-    (* The delta log is scanned end to end (its length is public: the
-       spy watched every insert, and compaction folding depends only on
-       the public insert/delete volume), same uniform evaluation. No
-       run-fence skipping here — the oblivious path never lets the
-       touched page set depend on the selection. *)
-    let delta_rows =
-      match Catalog.delta catalog root with
-      | None -> []
-      | Some log ->
-        measure ctx "DeltaScan" ~tuples_in:(Delta_log.physical_records log)
-          (fun () ->
-          let out = ref [] in
-          let live_out = ref 0 in
-          Delta_log.scan log (fun r ->
-            cpu ctx 5;
-            let dead = Sorted_ids.member tombstones r.Delta_log.ids.(0) in
-            let hidden_ok =
-              List.fold_left
-                (fun acc hc ->
-                   cpu ctx 2;
-                   let v =
-                     if hc.hc_level = 0 then
-                       Delta_log.hidden_value log r hc.hc_pred.Predicate.column
-                     else
-                       Column_store.get hc.hc_reader
-                         r.Delta_log.ids.(hc.hc_level)
-                   in
-                   let ok = Predicate.holds hc.hc_pred v in
-                   acc && ok)
-                true checks
-            in
-            let visible_ok =
-              List.fold_left
-                (fun acc (table, shipped) ->
-                   cpu ctx 2;
-                   let m =
-                     Sorted_ids.member shipped r.Delta_log.ids.(level_of table)
-                   in
-                   acc && m)
-                true ctx.shipped
-            in
-            let live = (not dead) && hidden_ok && visible_ok in
-            if live then incr live_out;
-            out :=
-              ( {
-                  ids = r.Delta_log.ids;
-                  attached = [];
-                  delta_hidden = Some (Delta_log.hidden_assoc log r);
-                },
-                live )
-              :: !out);
-          (List.rev !out, !live_out))
-    in
-    let all_pairs = scanned @ delta_rows in
-    let all_rows = List.map fst all_pairs in
-    (* Projection joins over ALL rows (live and dead) against the full
-       column stream: [verify:false] keeps every row, attaching values
-       in place. *)
-    let projected_visible =
-      List.filter_map
-        (fun (table, column) ->
-           let tbl = Schema.find_table schema table in
-           if column = tbl.Schema.key then None
-           else begin
-             let col = Schema.find_column tbl column in
-             if Column.is_hidden col then None
-             else Some (table, column, col.Column.ty)
-           end)
-        plan.Plan.query.Bind.projections
-      |> List.sort_uniq compare
-    in
-    List.iter
-      (fun (table, column, ty) ->
-         let width = Value.ty_width ty in
-         let fetch () =
-           let stream =
-             Public_store.stream_column ctx.public ~trace ~table ~column
-               ~preds:[]
-           in
-           receive_stream ctx ~table ~column ~ty stream;
-           stream
-         in
-         ignore
-           (join_stream ctx
-              ~label:(Printf.sprintf "Project+Join(%s.%s)" table column)
-              ~level:(level_of table) ~verify:false ~attach_value:true
-              ~value_width:width ~rows:all_rows fetch))
-      projected_visible;
-    (* Projection + padded emission: tuples are materialised for dead
-       rows too (identical hidden-column page touches), then dropped. *)
-    let attach_order = List.map (fun (t, c, _) -> (t, c)) projected_visible in
-    let result_rows =
-      measure ctx "Project" ~tuples_in:(List.length all_pairs) (fun () ->
-        let hidden_readers = Hashtbl.create 8 in
-        let reader_for table column =
-          match Hashtbl.find_opt hidden_readers (table, column) with
-          | Some r -> r
-          | None ->
-            let cs = column_store_exn ctx ~table ~column in
-            let r =
-              Column_store.open_reader ~ram:ctx.ram ~buffer_bytes:256
-                ?cache:ctx.cache cs
-            in
-            Resources.defer resources (fun () -> Column_store.close_reader r);
-            Hashtbl.replace hidden_readers (table, column) r;
-            r
-        in
-        let out =
-          List.filter_map
-            (fun (row, live) ->
-               let attached = Array.of_list (List.rev row.attached) in
-               let tuple =
-                 Array.of_list
-                   (List.map
-                      (fun (table, column) ->
-                         cpu ctx 2;
-                         let tbl = Schema.find_table schema table in
-                         if column = tbl.Schema.key then
-                           Value.Int row.ids.(level_of table)
-                         else begin
-                           let col = Schema.find_column tbl column in
-                           if Column.is_hidden col then begin
-                             match row.delta_hidden with
-                             | Some assoc when table = root ->
-                               List.assoc column assoc
-                             | Some _ | None ->
-                               Column_store.get (reader_for table column)
-                                 row.ids.(level_of table)
-                           end
-                           else begin
-                             let rec pos i = function
-                               | [] ->
-                                 fail "projection %s.%s not attached" table
-                                   column
-                               | (t, c) :: rest ->
-                                 if t = table && c = column then i
-                                 else pos (i + 1) rest
-                             in
-                             attached.(pos 0 attach_order)
-                           end
-                         end)
-                      plan.Plan.query.Bind.projections)
-               in
-               if live then Some tuple else None)
-            all_pairs
-        in
-        let padded_in = List.length all_pairs in
-        let out =
-          match plan.Plan.query.Bind.aggregate with
-          | None -> out
-          | Some spec ->
-            cpu ctx (5 * padded_in);
-            let grouped = Ghost_sql.Aggregate.apply spec out in
-            let group_bytes =
-              max 16
-                (List.length grouped
-                 * 8
-                 * max 1 (List.length spec.Ghost_sql.Aggregate.output))
-            in
-            Ram.with_alloc ctx.ram ~label:"aggregate-groups" group_bytes
-              (fun _ -> ());
-            grouped
-        in
-        let out =
-          match plan.Plan.query.Bind.order_by, plan.Plan.query.Bind.limit with
-          | [], None -> out
-          | order_by, limit ->
-            cpu ctx (padded_in * Ext_sort.log2_ceil (max 1 padded_in));
-            Ram.with_alloc ctx.ram ~label:"order-by"
-              (max 16 (padded_in * 8))
-              (fun _ -> Ghost_sql.Postproc.apply ~order_by ~limit out)
-        in
-        emit_rows ctx ~count:(List.length out)
-          ~bytes:(List.length out * emit_row_width ctx);
-        (out, List.length out))
-    in
-    let scratch = ctx.scratch in
-    if Flash.live_bytes scratch > 0 then
-      ignore
-        (measure ctx "ScratchReclaim" ~tuples_in:0 (fun () ->
-           Flash.erase_live_blocks scratch;
-           ((), 0)));
-    Resources.release resources;
-    (match ctx.cache with
-     | Some c ->
-       let s = Page_cache.stats c in
-       Trace.record trace Trace.Device_to_display
-         (Trace.Cache_stats
-            {
-              hits = s.Page_cache.hits;
-              misses = s.Page_cache.misses;
-              evictions = s.Page_cache.evictions;
-            })
-         ~bytes:0
-     | None -> ());
-    let total =
-      Device.usage_between device ~before:run_start ~after:(Device.snapshot device)
-    in
-    let ram_peak = Ram.close_scope ctx.ram global_scope in
-    {
-      rows = result_rows;
-      row_count = List.length result_rows;
-      ops = List.rev ctx.ops_rev;
-      total;
-      elapsed_us = total.Device.total_us;
-      ram_peak;
-      bloom_fp_candidates = 0;
-      oblivious = Oblivious.Full;
-      padding_bytes = ctx.pad_bytes;
-    })
-
-let execute_once ~exact_post ~bloom_fpr ~scratch catalog public plan =
-  match plan.Plan.oblivious with
-  | Oblivious.Full -> execute_oblivious ~scratch catalog public plan
-  | Oblivious.Off | Oblivious.Pad ->
-    execute_baseline ~exact_post ~bloom_fpr ~scratch catalog public plan
 
 (* Graceful degradation under a detected integrity failure. A caught
    {!Flash.Integrity_error} aborts the attempt cleanly (the deferred

@@ -18,12 +18,13 @@ module Oblivious = Ghost_oblivious.Oblivious
     reports the per-operator statistics the demo GUI shows (tuples
     processed, local RAM consumption, processing time).
 
-    When the plan carries {!Plan.t.oblivious} = [Pad], the same
-    pipeline runs but the three length-bearing USB sites (id
-    shipments, projection streams, result emission) are padded up to
-    power-of-two buckets under their public bounds. Under [Full] a
-    separate fixed-shape path runs instead: bound-depth SKT scan,
-    uniform predicate evaluation, full-column streams and
+    One pipeline serves every {!Plan.t.oblivious} mode. Under [Pad]
+    the three length-bearing USB sites (id shipments, projection
+    streams, result emission) are padded up to power-of-two buckets
+    under their public bounds. [Full] also swaps a few stage
+    parameters: padded id shipments and a bound-depth SKT scan with
+    uniform predicate evaluation instead of index cursors and
+    post-filters, an unfenced delta scan, full-column streams, and
     bound-padded emission, making the spy-visible trace (and the
     device clock) a function of schema and public bounds alone. *)
 

@@ -215,9 +215,8 @@ val emit_result : ?obl:Trace.obl -> t -> count:int -> bytes:int -> unit
 (** Sends result tuples to the secure display ([Device_to_display]
     link — not spy visible). Same retry discipline as {!receive}.
     [obl] annotates the event with its leakage bound (see
-    {!Trace.obl}): the oblivious executor pads [count] and [bytes] to
-    a public bound and marks the dummy share; the baseline executor
-    marks the {e unpadded} count's value range so the auditor can
+    {!Trace.obl}): the padded modes pad [count] and [bytes] to a
+    public bound and mark the dummy share; the baseline mode marks the {e unpadded} count's value range so the auditor can
     measure the residual leak. *)
 
 val emit_ack : t -> unit

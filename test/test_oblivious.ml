@@ -2,12 +2,15 @@
    the tentpole guarantee — two queries differing only in a hidden
    constant produce byte-identical spy traces (and identical clock and
    page-touch counts) under [~oblivious:true], while the baseline
-   executor audits to a strictly positive leakage. *)
+   mode audits to a strictly positive leakage. The guarantee and the
+   row checks run on the default device and on the production profile
+   the benchmark measures. *)
 
 module Value = Ghost_kernel.Value
 module Rng = Ghost_kernel.Rng
 module Ram = Ghost_device.Ram
 module Device = Ghost_device.Device
+module Flash = Ghost_flash.Flash
 module Oblivious = Ghost_oblivious.Oblivious
 module Medical = Ghost_workload.Medical
 module Queries = Ghost_workload.Queries
@@ -65,13 +68,42 @@ let test_entropy () =
   check feq "equal observations" 0.0
     (Oblivious.Entropy.of_observations [ "a"; "a"; "a" ])
 
-(* ---- auditing the two executors on the medical workload --------- *)
+(* ---- device profiles --------------------------------------------- *)
 
-let fresh () =
+(* The production profile: durable checksummed logs, compact wire
+   framing, the leveled delta log, authenticated pages and a 64-frame
+   page cache whose pool is added to the RAM budget, so queries keep
+   the default working RAM. *)
+let production_config =
+  let d = Device.default_config in
+  let frames = 64 in
+  {
+    d with
+    Device.durable_logs = true;
+    wire_format = Ghost_wire.Wire.Compact;
+    log_runs = Some Device.default_log_runs;
+    verify_pages = true;
+    page_cache_frames = frames;
+    ram_budget =
+      d.Device.ram_budget + (frames * d.Device.flash_geometry.Flash.page_size);
+  }
+
+(* ---- auditing the modes on the medical workload ------------------- *)
+
+let fresh ?(config = Device.default_config) () =
   let rows = Medical.generate Medical.tiny in
-  let db = Ghost_db.of_schema (Medical.schema ()) rows in
+  let db = Ghost_db.of_schema ~device_config:config (Medical.schema ()) rows in
   let refdb = Reference.db_of_rows (Ghost_db.schema db) rows in
   (db, refdb)
+
+(* Runs [sql] under [mode]: [Full] through the oblivious planner, the
+   others on the optimizer's best plan. *)
+let run_mode db mode sql =
+  match mode with
+  | Oblivious.Full -> Ghost_db.query db ~oblivious:true sql
+  | Oblivious.Off | Oblivious.Pad ->
+    let plan, _ = List.hd (Ghost_db.plans db sql) in
+    Ghost_db.run_plan db (Plan.with_mode plan mode)
 
 let rows_equal got expected = Reference.sort_rows got = Reference.sort_rows expected
 
@@ -143,9 +175,8 @@ let test_pad_mode_shrinks_leak () =
   Ghost_db.clear_trace db;
   ignore (Ghost_db.query db Queries.demo);
   let base_bits = (Ghost_db.audit db).Privacy.data_dependent_bits in
-  let plan, _ = List.hd (Ghost_db.plans db Queries.demo) in
   Ghost_db.clear_trace db;
-  let r = Ghost_db.run_plan db (Plan.with_mode plan Oblivious.Pad) in
+  let r = run_mode db Oblivious.Pad Queries.demo in
   check Alcotest.bool "pad mode echoed" true (r.Exec.oblivious = Oblivious.Pad);
   check Alcotest.bool "rows unchanged" true (rows_equal r.Exec.rows expected);
   check Alcotest.bool "padding shipped" true (r.Exec.padding_bytes > 0);
@@ -160,8 +191,8 @@ let test_pad_mode_shrinks_leak () =
 (* Two demo queries identical except for the hidden Purpose constant
    (same byte length, very different Zipf frequency). Each runs on a
    fresh instance so page-cache warmth cannot tell them apart. *)
-let oblivious_probe sql =
-  let db, refdb = fresh () in
+let oblivious_probe config sql =
+  let db, refdb = fresh ~config () in
   let expected = reference_rows db refdb sql in
   Ghost_db.clear_trace db;
   let r = Ghost_db.query db ~oblivious:true sql in
@@ -179,60 +210,69 @@ let check_indistinguishable name (fp1, r1) (fp2, r2) =
   check (Alcotest.float 0.) (name ^ ": device clock") r1.Exec.elapsed_us
     r2.Exec.elapsed_us
 
-let test_trace_equality_hidden_constant () =
-  let p1 = oblivious_probe (Queries.demo_with ~purpose:"Sclerosis" ()) in
-  let p2 = oblivious_probe (Queries.demo_with ~purpose:"Influenza" ()) in
+let test_trace_equality_hidden_constant config () =
+  let p1 = oblivious_probe config (Queries.demo_with ~purpose:"Sclerosis" ()) in
+  let p2 = oblivious_probe config (Queries.demo_with ~purpose:"Influenza" ()) in
   check_indistinguishable "purpose constant" p1 p2
 
 (* Same guarantee for a hidden range predicate: the two bounds select
    very different fractions of Prescription.Quantity. *)
-let test_trace_equality_hidden_range () =
+let test_trace_equality_hidden_range config () =
   let q lo hi =
     Printf.sprintf
       "SELECT Pre.PreID, Pre.Quantity FROM Prescription Pre WHERE Pre.Quantity \
        BETWEEN %d AND %d"
       lo hi
   in
-  let p1 = oblivious_probe (q 1 9) in
-  let p2 = oblivious_probe (q 8 9) in
+  let p1 = oblivious_probe config (q 1 9) in
+  let p2 = oblivious_probe config (q 8 9) in
   check_indistinguishable "range bounds" p1 p2
 
 (* ---- correctness: every workload query, also after mutations ---- *)
 
-let test_rows_match_reference () =
-  let db, refdb = fresh () in
-  List.iter
-    (fun (name, sql) ->
-       let expected = reference_rows db refdb sql in
-       let r = Ghost_db.query db ~oblivious:true sql in
-       if not (rows_equal r.Exec.rows expected) then
-         Alcotest.failf "%s oblivious: got %d rows, want %d" name r.Exec.row_count
-           (List.length expected);
-       check Alcotest.int (name ^ ": ram released") 0
-         (Ram.in_use (Device.ram (Ghost_db.device db))))
-    Queries.all;
-  (* aggregates and ORDER BY .. LIMIT shapes *)
-  List.iter
-    (fun sql ->
-       let expected = reference_rows db refdb sql in
-       let r = Ghost_db.query db ~oblivious:true sql in
-       if not (rows_equal r.Exec.rows expected) then
-         Alcotest.failf "%s oblivious: got %d rows, want %d" sql r.Exec.row_count
-           (List.length expected))
-    [
-      "SELECT COUNT(*), MIN(Pre.Quantity), MAX(Pre.Quantity) FROM Prescription Pre";
-      "SELECT Pre.PreID FROM Prescription Pre WHERE Pre.Quantity >= 3 ORDER BY \
-       Pre.PreID DESC LIMIT 5";
-    ]
+(* The padded modes, each checked on every workload query plus the
+   aggregate and ORDER BY .. LIMIT shapes. *)
+let padded_modes = [ Oblivious.Full; Oblivious.Pad ]
 
-(* Delta-log and tombstone coverage: the fixed-shape scan must see
-   fresh inserts and stop seeing deleted roots, like the baseline. *)
-let test_rows_after_mutations () =
-  let db, _ = fresh () in
+let row_queries =
+  Queries.all
+  @ List.map
+      (fun sql -> (sql, sql))
+      [
+        "SELECT COUNT(*), MIN(Pre.Quantity), MAX(Pre.Quantity) FROM Prescription Pre";
+        "SELECT Pre.PreID FROM Prescription Pre WHERE Pre.Quantity >= 3 ORDER BY \
+         Pre.PreID DESC LIMIT 5";
+      ]
+
+let test_rows_match_reference config () =
+  let db, refdb = fresh ~config () in
+  (* a configured page cache holds its frame pool for good *)
+  let ram = Device.ram (Ghost_db.device db) in
+  let idle = Ram.in_use ram in
+  List.iter
+    (fun mode ->
+       List.iter
+         (fun (name, sql) ->
+            let expected = reference_rows db refdb sql in
+            let r = run_mode db mode sql in
+            if not (rows_equal r.Exec.rows expected) then
+              Alcotest.failf "%s %s: got %d rows, want %d" name
+                (Oblivious.mode_name mode) r.Exec.row_count (List.length expected);
+            check Alcotest.int (name ^ ": ram released") idle (Ram.in_use ram))
+         row_queries)
+    padded_modes
+
+(* Delta-log and tombstone coverage: the padded modes must see fresh
+   inserts and stop seeing deleted roots, like the baseline — before
+   and after compaction folds the log into sorted runs (a no-op
+   without leveled runs). The batch is large enough for the production
+   profile's L0 to spill. *)
+let test_rows_after_mutations config () =
+  let db, _ = fresh ~config () in
   let rng = Rng.create 11 in
   let next = Medical.tiny.Medical.prescriptions + 1 in
   let batch =
-    List.init 20 (fun i ->
+    List.init 300 (fun i ->
       [|
         Value.Int (next + i);
         Value.Int (Rng.int_in rng 1 10);
@@ -244,14 +284,26 @@ let test_rows_after_mutations () =
   in
   Ghost_db.insert db batch;
   Ghost_db.delete db [ 1; 7; 42; next + 3 ];
-  List.iter
-    (fun (name, sql) ->
-       let expected = (Ghost_db.query db sql).Exec.rows in
-       let r = Ghost_db.query db ~oblivious:true sql in
-       if not (rows_equal r.Exec.rows expected) then
-         Alcotest.failf "%s oblivious after mutations: got %d rows, want %d" name
-           r.Exec.row_count (List.length expected))
-    Queries.all;
+  let check_modes phase =
+    List.iter
+      (fun (name, sql) ->
+         let expected = (Ghost_db.query db sql).Exec.rows in
+         List.iter
+           (fun mode ->
+              let r = run_mode db mode sql in
+              if not (rows_equal r.Exec.rows expected) then
+                Alcotest.failf "%s %s %s: got %d rows, want %d" name
+                  (Oblivious.mode_name mode) phase r.Exec.row_count
+                  (List.length expected))
+           padded_modes)
+      row_queries
+  in
+  check_modes "after mutations";
+  Ghost_db.compact db;
+  check Alcotest.bool "compaction spilled the leveled log" true
+    (config.Device.log_runs = None
+     || (Device.fault_counters (Ghost_db.device db)).Device.log_spills > 0);
+  check_modes "after compaction";
   Ghost_db.clear_trace db;
   ignore (Ghost_db.query db ~oblivious:true Queries.demo);
   let v = Ghost_db.audit ~access:(Ghost_db.access_profile db ~fixed_shape:true) db in
@@ -383,11 +435,18 @@ let suite =
     Alcotest.test_case "baseline leaks bits" `Quick test_baseline_leaks_bits;
     Alcotest.test_case "oblivious audits to zero" `Quick test_oblivious_audits_to_zero;
     Alcotest.test_case "pad mode shrinks the leak" `Quick test_pad_mode_shrinks_leak;
-    Alcotest.test_case "trace equality: hidden constant" `Quick
-      test_trace_equality_hidden_constant;
-    Alcotest.test_case "trace equality: hidden range" `Quick
-      test_trace_equality_hidden_range;
-    Alcotest.test_case "rows match reference" `Quick test_rows_match_reference;
-    Alcotest.test_case "rows after mutations" `Quick test_rows_after_mutations;
-    prop_trace_equality;
   ]
+  (* Each device-sensitive case runs on the default device under its
+     own name, then on the production profile. *)
+  @ List.concat_map
+      (fun (suffix, config) ->
+         List.map
+           (fun (name, test) -> Alcotest.test_case (name ^ suffix) `Quick (test config))
+           [
+             ("trace equality: hidden constant", test_trace_equality_hidden_constant);
+             ("trace equality: hidden range", test_trace_equality_hidden_range);
+             ("rows match reference", test_rows_match_reference);
+             ("rows after mutations", test_rows_after_mutations);
+           ])
+      [ ("", Device.default_config); (" [production]", production_config) ]
+  @ [ prop_trace_equality ]

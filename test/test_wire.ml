@@ -8,6 +8,7 @@
    calibration in both formats, and a compact-fleet smoke test. *)
 
 module Value = Ghost_kernel.Value
+module Codec = Ghost_kernel.Codec
 module Sorted_ids = Ghost_kernel.Sorted_ids
 module Wire = Ghost_wire.Wire
 module Device = Ghost_device.Device
@@ -244,6 +245,48 @@ let test_fuzz_rejection () =
     check Alcotest.bool "pristine frame decodes after fuzzing" true
       (List.for_all2 message_equal fuzz_messages got)
   | Error e -> Alcotest.failf "pristine frame rejected after fuzzing: %s" e
+
+(* Hand-built compact frames whose second id delta is a 9-byte varint
+   big enough to wrap the running id negative. The CRC is valid, so
+   only the decoder's overflow checks stand between the frame and a
+   negative id. *)
+let overflow_frame ~op ~head ~first =
+  let b = Buffer.create 32 in
+  Buffer.add_char b '\xC7';  (* frame magic *)
+  Buffer.add_char b (Char.chr op);
+  Buffer.add_string b head;  (* labels (and type tag) *)
+  Buffer.add_char b '\x02';  (* count = 2 *)
+  Buffer.add_char b first;  (* first delta: id 5 *)
+  b
+
+let seal b =
+  let body = Buffer.to_bytes b in
+  let n = Bytes.length body in
+  let frame = Bytes.extend body 0 4 in
+  Codec.put_u32 frame n (Codec.crc32 body ~pos:0 ~len:n);
+  frame
+
+let test_id_overflow_rejected () =
+  let expect_overflow what frame =
+    match Wire.decode_frame (Wire.decoder ()) frame ~pos:0 ~len:(Bytes.length frame) with
+    | Error e -> check Alcotest.string what "id overflow" e
+    | Ok _ -> Alcotest.failf "%s: accepted an overflowing id" what
+  in
+  (* id list: label "t" defined inline; delta 5, then a delta with bit
+     62 set (eight continuation bytes, top byte 0x40) *)
+  let ids = overflow_frame ~op:0x02 ~head:"\x00\x01t" ~first:'\x05' in
+  Buffer.add_string ids (String.make 8 '\x80');
+  Buffer.add_char ids '\x40';
+  expect_overflow "id list" (seal ids);
+  (* value stream: labels "t" and "c", type int; pair tags carry
+     (delta lsl 1) lor null — first (5, NULL), then all 63 bits set:
+     NULL with a delta of max_int *)
+  let values =
+    overflow_frame ~op:0x03 ~head:"\x00\x01t\x00\x01c\x00" ~first:'\x0B'
+  in
+  Buffer.add_string values (String.make 8 '\xFF');
+  Buffer.add_char values '\x7F';
+  expect_overflow "value stream" (seal values)
 
 (* A rejected frame must not commit its label definitions: the decoder
    dictionary advances only on accepted frames, mirroring the sender's
@@ -491,6 +534,7 @@ let suite =
     qtest prop_compact_roundtrip;
     qtest prop_verbose_equivalence;
     Alcotest.test_case "fuzz: truncation and bit flips rejected" `Quick test_fuzz_rejection;
+    Alcotest.test_case "overflowing ids rejected" `Quick test_id_overflow_rejected;
     Alcotest.test_case "rejected frames commit no labels" `Quick
       test_rejected_frame_commits_nothing;
     Alcotest.test_case "batching coalesces frames" `Quick test_batch_coalesces;
