@@ -20,17 +20,42 @@ type t = {
   bounds : Value.t array;
 }
 
+let ascending values =
+  let n = Array.length values in
+  let i = ref 1 in
+  while !i < n && Value.compare values.(!i - 1) values.(!i) <= 0 do
+    incr i
+  done;
+  !i >= n
+
 let of_values values =
   let count = Array.length values in
   let sorted = Array.copy values in
-  Array.sort Value.compare sorted;
-  let freq_map =
-    Array.fold_left
-      (fun m v -> Vmap.update v (fun c -> Some (1 + Option.value c ~default:0)) m)
-      Vmap.empty sorted
+  (* A stable sort leaves an ascending input as it is. *)
+  if not (ascending sorted) then Array.stable_sort Value.compare sorted;
+  (* Each run of equal values is one distinct value. Values equal under
+     [Value.compare] may still differ in CHAR padding; an exact
+     frequency map is keyed by the last value of each run. *)
+  let run_ends_at i = i = count - 1 || Value.compare sorted.(i) sorted.(i + 1) <> 0 in
+  let distinct = ref 0 in
+  for i = 0 to count - 1 do
+    if run_ends_at i then incr distinct
+  done;
+  let distinct = !distinct in
+  let freqs =
+    if distinct > exact_threshold then None
+    else begin
+      let m = ref Vmap.empty and run = ref 0 in
+      for i = 0 to count - 1 do
+        incr run;
+        if run_ends_at i then begin
+          m := Vmap.add sorted.(i) !run !m;
+          run := 0
+        end
+      done;
+      Some !m
+    end
   in
-  let distinct = Vmap.cardinal freq_map in
-  let freqs = if distinct <= exact_threshold then Some freq_map else None in
   let bounds =
     if count = 0 then [||]
     else

@@ -1305,7 +1305,8 @@ let step m =
       Device.set_on_tick m.sm_device
         (Some
            (fun () ->
-              if Device.elapsed_us m.sm_device -. slice_start >= m.sm_quantum
+              if Device.slice_expired m.sm_device ~start:slice_start
+                   ~quantum:m.sm_quantum
               then Effect.perform Yield));
     Fun.protect ~finally:(fun () -> Device.set_on_tick m.sm_device None)
     @@ fun () ->

@@ -95,16 +95,24 @@ let composition schema data_of ~ancestor ~descendant =
   | Some arr -> arr
   | None -> Array.init (data_of descendant).n (fun i -> i + 1)
 
-let bucket_by_value values ids_of =
-  (* values: per-entity value array (index = id-1); ids_of lets the
-     caller remap (identity for level 0). Returns value -> sorted ids. *)
-  let m = ref Vmap.empty in
-  Array.iteri
-    (fun i v ->
-       let id = ids_of i in
-       m := Vmap.update v (fun l -> Some (id :: Option.value l ~default:[])) !m)
-    values;
-  Vmap.map (fun l -> Sorted_ids.of_unsorted l) !m
+(* values: per-entity value array (index = id-1). Returns value ->
+   sorted ids. A stable sort of the ids by value leaves each run of
+   equal values in id order; a run's key is its last value. *)
+let bucket_by_value values =
+  let n = Array.length values in
+  let order = Array.init n Fun.id in
+  Array.stable_sort (fun i j -> Value.compare values.(i) values.(j)) order;
+  let m = ref Vmap.empty and start = ref 0 in
+  for k = 0 to n - 1 do
+    if k = n - 1 || Value.compare values.(order.(k)) values.(order.(k + 1)) <> 0
+    then begin
+      let first = !start in
+      let ids = Array.init (k - first + 1) (fun j -> order.(first + j) + 1) in
+      m := Vmap.add values.(order.(k)) ids !m;
+      start := k + 1
+    end
+  done;
+  !m
 
 (* A prepared load: host-side arrays validated and a device created,
    but nothing programmed to Flash yet. {!Reorg} drives the phases
@@ -220,13 +228,10 @@ let build_entry p name =
            let per_level =
              List.map
                (fun level ->
-                  if level = name then bucket_by_value values (fun i -> i + 1)
+                  if level = name then bucket_by_value values
                   else begin
                     let comp_arr = comp ~ancestor:level ~descendant:name in
-                    let level_values =
-                      Array.map (fun tid -> values.(tid - 1)) comp_arr
-                    in
-                    bucket_by_value level_values (fun i -> i + 1)
+                    bucket_by_value (Array.map (fun tid -> values.(tid - 1)) comp_arr)
                   end)
                climb
            in
@@ -262,9 +267,11 @@ let build_entry p name =
           (fun level ->
              let comp_arr = comp ~ancestor:level ~descendant:name in
              let buckets = Array.make data.n [] in
-             Array.iteri
-               (fun i tid -> buckets.(tid - 1) <- (i + 1) :: buckets.(tid - 1))
-               comp_arr;
+             (* Downwards, so each bucket lists its ids in order. *)
+             for i = Array.length comp_arr - 1 downto 0 do
+               let tid = comp_arr.(i) in
+               buckets.(tid - 1) <- (i + 1) :: buckets.(tid - 1)
+             done;
              Array.map Sorted_ids.of_unsorted buckets)
           ancestors
       in

@@ -448,15 +448,34 @@ let emit_reorg_progress t ~phase ~phases =
   transfer t Outbound Trace.Device_to_pc
     (Trace.Reorg_progress { phase; phases }) ~bytes:0
 
-let cpu_time_us t = Float.of_int t.cpu_ops /. t.config.cpu_mips
+(* The device clock, summed in one fixed order. Inlined into its two
+   callers so that [slice_expired], which runs on every CPU and USB
+   charge of a sliced session, computes it in unboxed floats: a float
+   returned across a call, or folded through [List.fold_left], would be
+   boxed. *)
+let[@inline] flash_time_us f =
+  let s = Flash.stats f in
+  s.Flash.read_time_us +. s.Flash.write_time_us
+
+let[@inline] cpu_us t = Float.of_int t.cpu_ops /. t.config.cpu_mips
+
+let[@inline] clock_us t =
+  let scratch = ref 0. in
+  let regions = ref t.session_scratch in
+  while !regions != [] do
+    match !regions with
+    | f :: rest ->
+      scratch := !scratch +. flash_time_us f;
+      regions := rest
+    | [] -> ()
+  done;
+  flash_time_us t.flash +. flash_time_us t.scratch +. !scratch +. t.usb_us
+  +. cpu_us t
+
+let cpu_time_us t = cpu_us t
 let usb_time_us t = t.usb_us
-
-let session_scratch_time_us t =
-  List.fold_left (fun acc f -> acc +. Flash.time_us f) 0. t.session_scratch
-
-let elapsed_us t =
-  Flash.time_us t.flash +. Flash.time_us t.scratch
-  +. session_scratch_time_us t +. t.usb_us +. cpu_time_us t
+let elapsed_us t = clock_us t
+let slice_expired t ~start ~quantum = clock_us t -. start >= quantum
 
 let spent_us t sid =
   match Hashtbl.find_opt t.session_spent sid with Some v -> v | None -> 0.

@@ -294,6 +294,12 @@ val usb_time_us : t -> float
 val elapsed_us : t -> float
 (** Flash time + USB time + CPU time, in simulated microseconds. *)
 
+val slice_expired : t -> start:float -> quantum:float -> bool
+(** [slice_expired t ~start ~quantum] is
+    [elapsed_us t -. start >= quantum], the same float expression, but
+    computed without allocating: it is the scheduler's preemption test
+    on every CPU and USB charge. *)
+
 type fault_counters = {
   flash_bit_flips : int;
   flash_ecc_corrected : int;

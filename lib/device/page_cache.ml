@@ -30,6 +30,9 @@ type t = {
   page_size : int;
   n_frames : int;
   data : Bytes.t array;  (* frame -> page image *)
+  mutable spare : Bytes.t;
+      (* fill buffer: a miss is read and verified here, then swapped
+         with the victim frame's buffer *)
   page_of : int array;  (* frame -> resident flash page, -1 when empty *)
   referenced : bool array;  (* clock / second-chance bits *)
   frame_of : (int, int) Hashtbl.t;  (* flash page -> frame *)
@@ -52,6 +55,7 @@ let create ~ram flash ~frames =
     page_size;
     n_frames = frames;
     data = Array.init frames (fun _ -> Bytes.make page_size '\000');
+    spare = Bytes.make page_size '\000';
     page_of = Array.make frames (-1);
     referenced = Array.make frames false;
     frame_of = Hashtbl.create (2 * frames);
@@ -88,35 +92,35 @@ let check t = if t.cell = None then invalid_arg "Page_cache: closed"
 
 (* Second chance: sweep the clock hand, clearing reference bits, until
    a frame without one comes up. An empty frame is claimed outright. *)
-let victim t =
-  let rec sweep () =
-    let f = t.hand in
-    t.hand <- (t.hand + 1) mod t.n_frames;
-    if t.page_of.(f) < 0 then f
-    else if t.referenced.(f) then begin
-      t.referenced.(f) <- false;
-      sweep ()
-    end
-    else f
-  in
-  sweep ()
+let rec victim t =
+  let f = t.hand in
+  t.hand <- (t.hand + 1) mod t.n_frames;
+  if t.page_of.(f) < 0 then f
+  else if t.referenced.(f) then begin
+    t.referenced.(f) <- false;
+    victim t
+  end
+  else f
 
 (* The frame holding [page], filling (and possibly evicting) on a miss.
    The fill is a full-page Flash read: that is the metered cost of a
-   cache miss; hits cost no Flash time at all. *)
+   cache miss; hits cost no Flash time at all. The page is read into
+   the spare buffer and verified there, before victim selection: a
+   corrupt image must never be installed in a frame, where later hits
+   would serve it silently. Installing swaps the spare with the
+   victim's buffer, so a fill copies the page once, out of the cells. *)
 let frame_for t ~verify page =
-  match Hashtbl.find_opt t.frame_of page with
-  | Some f ->
+  match Hashtbl.find t.frame_of page with
+  | f ->
     t.hits <- t.hits + 1;
     metric t "cache.hits";
     t.referenced.(f) <- true;
     f
-  | None ->
+  | exception Not_found ->
     t.misses <- t.misses + 1;
     metric t "cache.misses";
-    let image = Flash.read_page t.flash page in
-    (* Verify before victim selection: a corrupt image must never be
-       installed in a frame, where later hits would serve it silently. *)
+    let image = t.spare in
+    Flash.read_page_into t.flash page image;
     if verify then Flash.verify_image t.flash ~page image;
     let f = victim t in
     if t.page_of.(f) >= 0 then begin
@@ -124,7 +128,8 @@ let frame_for t ~verify page =
       metric t "cache.evictions";
       Hashtbl.remove t.frame_of t.page_of.(f)
     end;
-    Bytes.blit image 0 t.data.(f) 0 t.page_size;
+    t.spare <- t.data.(f);
+    t.data.(f) <- image;
     t.page_of.(f) <- page;
     t.referenced.(f) <- true;
     Hashtbl.replace t.frame_of page f;

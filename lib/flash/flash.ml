@@ -467,24 +467,43 @@ let apply_stored_flips t ~page ~off ~len out =
       end
     end
 
-let read t ~page ~off ~len =
+let check_read t ~page ~off ~len =
   if page < 0 || page >= t.page_high_water then
     invalid_arg (Printf.sprintf "Flash.read: page %d out of range" page);
   match t.pages.(page) with
   | Erased -> invalid_arg (Printf.sprintf "Flash.read: page %d is erased" page)
-  | Programmed { data; len = plen } ->
+  | Programmed _ ->
     if off < 0 || len < 0 || off + len > t.geometry.page_size then
-      invalid_arg "Flash.read: range out of page bounds";
+      invalid_arg "Flash.read: range out of page bounds"
+
+(* The metered read of [off, off+len) of a checked [page] into [out] at
+   0: bytes past the programmed prefix read back as zeros (padding),
+   then latent and injected flips land on [out]. *)
+let read_cells t ~page ~off ~len out =
+  match t.pages.(page) with
+  | Erased -> assert false
+  | Programmed { data; len = plen } ->
     charge_read t len;
-    let out = Bytes.make len '\000' in
-    (* Bytes past the programmed prefix read back as zeros (padding). *)
     let avail = max 0 (min len (plen - off)) in
     if avail > 0 then Bytes.blit data off out 0 avail;
+    Bytes.fill out avail (len - avail) '\000';
     apply_stored_flips t ~page ~off ~len out;
-    inject_read_faults t out len;
-    out
+    inject_read_faults t out len
+
+let read t ~page ~off ~len =
+  check_read t ~page ~off ~len;
+  let out = Bytes.create len in
+  read_cells t ~page ~off ~len out;
+  out
 
 let read_page t page = read t ~page ~off:0 ~len:t.geometry.page_size
+
+let read_page_into t page buf =
+  let len = t.geometry.page_size in
+  if Bytes.length buf <> len then
+    invalid_arg "Flash.read_page_into: buffer is not one page long";
+  check_read t ~page ~off:0 ~len;
+  read_cells t ~page ~off:0 ~len buf
 
 (* Classify a failed verify: does a fresh full-page read (straight from
    the cells, no cache in this layer) pass the trailer check? If so the

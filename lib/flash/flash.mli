@@ -171,6 +171,13 @@ val read : t -> page:int -> off:int -> len:int -> bytes
 val read_page : t -> int -> bytes
 (** Full-page read. *)
 
+val read_page_into : t -> int -> bytes -> unit
+(** [read_page_into t page buf] is {!read_page} into the caller's
+    page-sized [buf] instead of a fresh buffer: same charge, same zero
+    padding past the programmed prefix, same stored and injected flips.
+    Raises [Invalid_argument] when [buf] is not exactly one page long,
+    and like {!read} otherwise. *)
+
 (** {2 Authenticated pages}
 
     With authentication on, structure-page writers reserve the last

@@ -47,6 +47,7 @@ val get_string16 : bytes -> int -> string * int
 
 val crc32 : ?crc:int -> bytes -> pos:int -> len:int -> int
 (** CRC-32 (IEEE) of [len] bytes starting at [pos]. Pass a previous
-    result as [?crc] to checksum discontiguous ranges incrementally.
-    Used by the crash-safe log pages to detect torn or corrupted
-    programs. *)
+    result as [?crc] to checksum discontiguous ranges incrementally
+    (only its low 32 bits are read). Used by sealed pages, the
+    crash-safe log pages and wire frames to detect torn or corrupted
+    bytes. *)

@@ -1,16 +1,19 @@
 let is_sorted a =
-  let ok = ref true in
-  for i = 1 to Array.length a - 1 do
-    if a.(i) <= a.(i - 1) then ok := false
-  done;
-  !ok
-
-let of_unsorted l =
-  let a = Array.of_list l in
-  Array.sort Int.compare a;
   let n = Array.length a in
-  if n = 0 then a
+  let i = ref 1 in
+  while !i < n && a.(!i) > a.(!i - 1) do
+    incr i
+  done;
+  !i >= n
+
+(* Ids usually arrive in key order (the loader and appends keep it), so
+   an O(n) check skips the sort; otherwise a merge sort, which makes
+   fewer comparisons than the heap sort of [Array.sort]. *)
+let of_unsorted_array a =
+  if is_sorted a then a
   else begin
+    Array.stable_sort Int.compare a;
+    let n = Array.length a in
     let out = ref 1 in
     for i = 1 to n - 1 do
       if a.(i) <> a.(!out - 1) then begin
@@ -20,6 +23,8 @@ let of_unsorted l =
     done;
     Array.sub a 0 !out
   end
+
+let of_unsorted l = of_unsorted_array (Array.of_list l)
 
 (* First index in [lo, Array.length a) whose element is >= x, found by
    exponential then binary search starting at [lo]. *)

@@ -9,7 +9,11 @@ val is_sorted : int array -> bool
 (** Strictly increasing (hence duplicate-free). *)
 
 val of_unsorted : int list -> int array
-(** Sorts and deduplicates. *)
+(** Sorts and deduplicates; O(n) when already strictly increasing. *)
+
+val of_unsorted_array : int array -> int array
+(** {!of_unsorted} of an array, which it may sort in place and
+    return. *)
 
 val intersect : int array -> int array -> int array
 (** Galloping (exponential-search) intersection: O(m log(n/m)) when one

@@ -75,6 +75,14 @@ let select_ids t ~trace (p : Predicate.t) =
     ~bytes:(4 * Array.length ids);
   ids
 
+let keys_ascend pairs =
+  let n = Array.length pairs in
+  let i = ref 1 in
+  while !i < n && fst pairs.(!i) > fst pairs.(!i - 1) do
+    incr i
+  done;
+  !i >= n
+
 let stream_column t ~trace ~table ~column ~preds =
   check_visible t ~table ~column;
   List.iter
@@ -84,28 +92,41 @@ let stream_column t ~trace ~table ~column ~preds =
        check_visible t ~table ~column:p.Predicate.column)
     preds;
   let rel = Hashtbl.find t.visible table in
+  let schema = Relation.schema rel in
   record_subquery ~trace
-    (Printf.sprintf "SELECT %s, %s FROM %s%s" (Relation.schema rel).Schema.key column
+    (Printf.sprintf "SELECT %s, %s FROM %s%s" schema.Schema.key column
        table
        (match preds with
         | [] -> ""
         | ps ->
           " WHERE " ^ String.concat " AND " (List.map Predicate.to_string ps)));
-  let matches =
-    Relation.select rel (fun row ->
-      List.for_all
-        (fun (p : Predicate.t) ->
-           Predicate.holds p (Relation.value rel row p.Predicate.column))
-        preds)
-  in
-  let pairs =
+  (* One pass over the tuples, with every column index resolved once. *)
+  let col = Schema.column_index schema column in
+  let checks =
     List.map
-      (fun row -> (Relation.key_of rel row, Relation.value rel row column))
-      matches
-    |> Array.of_list
+      (fun (p : Predicate.t) -> (Schema.column_index schema p.Predicate.column, p))
+      preds
   in
-  Array.sort (fun (a, _) (b, _) -> Int.compare a b) pairs;
-  let width = Value.ty_width (Schema.find_column (Relation.schema rel) column).Column.ty in
+  let rec holds row = function
+    | [] -> true
+    | (i, p) :: rest -> Predicate.holds p row.(i) && holds row rest
+  in
+  let tuples = Relation.tuples rel in
+  let buf = Array.make (Array.length tuples) (0, Value.Null) in
+  let n = ref 0 in
+  Array.iter
+    (fun row ->
+       if holds row checks then begin
+         buf.(!n) <- (Relation.key_of rel row, row.(col));
+         incr n
+       end)
+    tuples;
+  let pairs = Array.sub buf 0 !n in
+  (* Keys are unique, so skipping the sort of an already ascending
+     stream yields the same array. *)
+  if not (keys_ascend pairs) then
+    Array.sort (fun (a, _) (b, _) -> Int.compare a b) pairs;
+  let width = Value.ty_width (Schema.find_column schema column).Column.ty in
   Trace.record trace Trace.Server_to_pc
     (Trace.Value_stream { table; column; count = Array.length pairs })
     ~bytes:((4 + width) * Array.length pairs);
@@ -138,8 +159,7 @@ let all_ids t ~trace name =
   record_subquery ~trace
     (Printf.sprintf "SELECT %s FROM %s" (Relation.schema rel).Schema.key name);
   let ids =
-    Sorted_ids.of_unsorted
-      (List.map (Relation.key_of rel) (Array.to_list (Relation.tuples rel)))
+    Sorted_ids.of_unsorted_array (Array.map (Relation.key_of rel) (Relation.tuples rel))
   in
   Trace.record trace Trace.Server_to_pc
     (Trace.Id_list { table = name; count = Array.length ids })

@@ -52,21 +52,17 @@ let find t k = Hashtbl.find_opt t.by_key k
 
 let value t tuple column = tuple.(Schema.column_index t.schema column)
 
-let column_values t column =
-  let idx = Schema.column_index t.schema column in
-  let pairs = Array.map (fun row -> (key_of t row, row.(idx))) t.tuples in
-  Array.sort (fun (a, _) (b, _) -> Int.compare a b) pairs;
-  Array.map snd pairs
-
-let select t p = List.filter p (Array.to_list t.tuples)
-
 let select_ids t cmp column =
   let idx = Schema.column_index t.schema column in
-  let ids =
-    Array.to_list t.tuples
-    |> List.filter_map (fun row ->
-      if Predicate.eval cmp row.(idx) then Some (key_of t row) else None)
-  in
-  Sorted_ids.of_unsorted ids
+  let ids = Array.make (Array.length t.tuples) 0 in
+  let n = ref 0 in
+  Array.iter
+    (fun row ->
+       if Predicate.eval cmp row.(idx) then begin
+         ids.(!n) <- key_of t row;
+         incr n
+       end)
+    t.tuples;
+  Sorted_ids.of_unsorted_array (Array.sub ids 0 !n)
 
 let iter f t = Array.iter f t.tuples

@@ -30,11 +30,6 @@ val find : t -> int -> tuple option
 val value : t -> tuple -> string -> Value.t
 (** [value t tuple column]. Raises [Not_found] on an unknown column. *)
 
-val column_values : t -> string -> Value.t array
-(** In key order. *)
-
-val select : t -> (tuple -> bool) -> tuple list
-
 val select_ids : t -> Predicate.comparison -> string -> int array
 (** [select_ids t cmp column] — sorted keys of tuples whose [column]
     satisfies [cmp]. *)

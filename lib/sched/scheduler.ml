@@ -85,7 +85,9 @@ type t = {
   mutable queue : session list;  (* submission order, head first *)
   mutable ready : session list;  (* admission order, head first *)
   mutable finished_rev : session list;
-  mutable sessions : (int * session) list;
+  sessions : (int, session) Hashtbl.t;
+      (* queued, runnable and finished-but-unpolled sessions: a polled
+         session is handed to the caller and forgotten *)
   mutable scratch_pool : Flash.t list;
   mutable scrubber : Ghost_scrub.Scrub.t option;
   mutable compactor : Compaction.t option;
@@ -117,7 +119,7 @@ let create ?(policy = Fifo) ?(quantum_us = infinity) ?(exact_post = true)
     queue = [];
     ready = [];
     finished_rev = [];
-    sessions = [];
+    sessions = Hashtbl.create 16;
     scratch_pool = [];
     scrubber = None;
     compactor = None;
@@ -174,7 +176,7 @@ let submit t ?label ?working_ram ?deadline_us plan =
     }
   in
   t.queue <- t.queue @ [ s ];
-  t.sessions <- (id, s) :: t.sessions;
+  Hashtbl.replace t.sessions id s;
   t.n_submitted <- t.n_submitted + 1;
   id
 
@@ -244,6 +246,7 @@ let release_scratch t s =
 let retire t s outcome =
   s.state <- Done outcome;
   s.finished_us <- Device.elapsed_us t.device;
+  s.machine <- None;
   release_ram t s;
   release_scratch t s;
   t.ready <- List.filter (fun r -> r.id <> s.id) t.ready;
@@ -267,7 +270,7 @@ let cancel_session t s reason =
     | Some reg -> Metrics.incr reg "sched.cancelled"
 
 let cancel t ?(reason = "cancelled") id =
-  match List.assoc_opt id t.sessions with
+  match Hashtbl.find_opt t.sessions id with
   | None -> ()
   | Some s -> cancel_session t s reason
 
@@ -404,6 +407,7 @@ let poll_finished t =
   t.finished_rev <- [];
   List.map
     (fun s ->
+       Hashtbl.remove t.sessions s.id;
        {
          f_id = s.id;
          f_label = s.label;
@@ -417,12 +421,12 @@ let poll_finished t =
     finished
 
 let outcome t id =
-  match List.assoc_opt id t.sessions with
+  match Hashtbl.find_opt t.sessions id with
   | Some { state = Done o; _ } -> Some o
   | Some _ | None -> None
 
 let usage t id =
-  match List.assoc_opt id t.sessions with
+  match Hashtbl.find_opt t.sessions id with
   | Some s -> s.usage
   | None -> Device.zero_usage
 

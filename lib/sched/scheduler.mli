@@ -159,13 +159,17 @@ val set_compactor : t -> Ghostdb.Compaction.t option -> unit
 val compactor : t -> Ghostdb.Compaction.t option
 
 val poll_finished : t -> finished list
-(** Sessions that finished since the last poll, in completion order. *)
+(** Sessions that finished since the last poll, in completion order.
+    Polling transfers them to the caller: the scheduler forgets them,
+    so it holds no result, rows or execution state of a polled session
+    and its size stays bounded under a closed loop that polls. *)
 
 val outcome : t -> int -> outcome option
-(** [None] while the session is still queued or runnable. *)
+(** [None] while the session is still queued or runnable, and for an
+    unknown or already polled id. *)
 
 val usage : t -> int -> Device.usage
 (** Device work charged to the session so far ({!Device.zero_usage}
-    for an unknown id). *)
+    for an unknown or already polled id). *)
 
 val stats : t -> stats

@@ -124,6 +124,125 @@ let test_invalidate_coherence () =
     (cache_read c ~page:3 ~off:0 ~len:geometry.Flash.page_size);
   Page_cache.close c
 
+(* A flash of [n] sealed pages (authenticated: CRC-32 trailer), each
+   with distinct content. *)
+let sealed_flash n =
+  let f = Flash.create ~geometry () in
+  Flash.set_authenticated f true;
+  let cap = geometry.Flash.page_size - Flash.auth_trailer_bytes in
+  for p = 0 to n - 1 do
+    let payload = Bytes.init cap (fun i -> Char.chr ((p * 37 + i * 11) land 0xff)) in
+    ignore (Flash.append f (Flash.seal_page f payload))
+  done;
+  f
+
+let verified_read c ~page =
+  let len = geometry.Flash.page_size in
+  let dst = Bytes.make len '\000' in
+  Page_cache.read ~verify:true c ~page ~off:0 ~len dst ~pos:0;
+  Bytes.to_string dst
+
+(* A miss that fails verification installs nothing: no frame maps the
+   page, the resident pages keep their bytes, and the next touch of the
+   page is again a verified miss. A refreshed page then fills. *)
+let test_integrity_error_installs_nothing () =
+  let f = sealed_flash 4 in
+  let ram = Ram.create ~budget:(4 * geometry.Flash.page_size) in
+  let c = Page_cache.create ~ram f ~frames:2 in
+  let image page = Bytes.to_string (Flash.read_page f page) in
+  let img0 = image 0 and img1 = image 1 and img2 = image 2 in
+  check Alcotest.string "page 0 fills" img0 (verified_read c ~page:0);
+  check Alcotest.string "page 1 fills" img1 (verified_read c ~page:1);
+  (* Two stored flips exceed the ECC's one-bit correction. *)
+  Flash.corrupt_stored f ~page:2 ~bit:40;
+  Flash.corrupt_stored f ~page:2 ~bit:41;
+  let misses () = (Page_cache.stats c).Page_cache.misses in
+  let corrupt_miss () =
+    let before = misses () in
+    (match verified_read c ~page:2 with
+     | _ -> Alcotest.fail "expected Integrity_error on the corrupt page"
+     | exception Flash.Integrity_error { page; _ } ->
+       check Alcotest.int "error names the page" 2 page);
+    check Alcotest.int "the corrupt touch was a miss" (before + 1) (misses ())
+  in
+  corrupt_miss ();
+  corrupt_miss ();
+  check Alcotest.int "nothing evicted" 0 (Page_cache.stats c).Page_cache.evictions;
+  check Alcotest.int "still two resident" 2 (Page_cache.resident c);
+  let before = misses () in
+  check Alcotest.string "page 0 keeps its bytes" img0 (verified_read c ~page:0);
+  check Alcotest.string "page 1 keeps its bytes" img1 (verified_read c ~page:1);
+  check Alcotest.int "resident pages are hits" before (misses ());
+  Flash.rewrite_page f ~page:2;
+  check Alcotest.string "a refreshed page fills and verifies" img2
+    (verified_read c ~page:2);
+  check Alcotest.string "and is then served from its frame" img2
+    (verified_read c ~page:2);
+  check Alcotest.int "one eviction made room" 1
+    (Page_cache.stats c).Page_cache.evictions;
+  Page_cache.close c
+
+(* Words allocated by [f ()] on the minor and major heaps, net of the
+   measurement's own allocation. Deterministic for one compiler; only
+   native code keeps floats unboxed, so callers check it there. The
+   minor count comes from [Gc.minor_words], exact on OCaml 5.1 where
+   the minor component of [Gc.counters] is not. *)
+let allocated_words f =
+  let words () =
+    let _, promoted, major = Gc.counters () in
+    Gc.minor_words () +. major -. promoted
+  in
+  let w0 = words () in
+  let w1 = words () in
+  f ();
+  let w2 = words () in
+  (w2 -. w1) -. (w1 -. w0)
+
+let native = Sys.backend_type = Sys.Native
+
+(* The verified miss fill reads into the cache's spare buffer: what it
+   allocates is the Flash read charge and the page table entry, never a
+   page image. *)
+let test_fill_allocation_budget () =
+  let pages = 6 and fills = 300 in
+  let f = sealed_flash pages in
+  let ram = Ram.create ~budget:(4 * geometry.Flash.page_size) in
+  let c = Page_cache.create ~ram f ~frames:2 in
+  let dst = Bytes.make 8 '\000' in
+  let touch i =
+    Page_cache.read ~verify:true c ~page:(i mod pages) ~off:0 ~len:8 dst ~pos:0
+  in
+  for i = 0 to pages - 1 do touch i done;
+  let misses0 = (Page_cache.stats c).Page_cache.misses in
+  let words = allocated_words (fun () -> for i = 0 to fills - 1 do touch i done) in
+  check Alcotest.int "every touch missed" fills
+    ((Page_cache.stats c).Page_cache.misses - misses0);
+  if native then begin
+    let per_fill = words /. Float.of_int fills in
+    if per_fill >= 16. then
+      Alcotest.failf "a verified miss fill allocates %.1f words (budget 16)" per_fill
+  end;
+  Page_cache.close c
+
+(* The preemption predicate runs on every CPU and USB charge of a
+   sliced session; it must not allocate. *)
+let test_preemption_check_allocates_nothing () =
+  let d = Device.create ~trace:(Ghost_device.Trace.create ()) () in
+  ignore (Device.new_scratch_region d);
+  ignore (Device.new_scratch_region d);
+  Device.cpu d 12345;
+  let start = Device.elapsed_us d in
+  let quantum = 1.0 in
+  let hits = ref 0 in
+  let words =
+    allocated_words (fun () ->
+      for _ = 1 to 1000 do
+        if Device.slice_expired d ~start ~quantum then incr hits
+      done)
+  in
+  check Alcotest.int "nothing charged, never expired" 0 !hits;
+  if native then check (Alcotest.float 0.) "words per 1000 checks" 0. words
+
 let cached_config frames =
   let page = Device.default_config.Device.flash_geometry.Flash.page_size in
   { Device.default_config with
@@ -228,4 +347,10 @@ let suite =
     Alcotest.test_case "reorganize invalidates" `Quick
       test_reorganize_invalidates;
     Alcotest.test_case "determinism" `Quick test_determinism;
+    Alcotest.test_case "integrity error installs nothing" `Quick
+      test_integrity_error_installs_nothing;
+    Alcotest.test_case "verified miss fill allocation budget" `Quick
+      test_fill_allocation_budget;
+    Alcotest.test_case "preemption check allocates nothing" `Quick
+      test_preemption_check_allocates_nothing;
   ]

@@ -138,6 +138,46 @@ let test_crc32 () =
   check Alcotest.bool "bit flip changes crc" true
     (Codec.crc32 b ~pos:0 ~len:9 <> reference)
 
+(* Bytewise CRC-32, one table lookup per byte: the reference the
+   sliced [Codec.crc32] must agree with on every range and seed. *)
+let crc_table =
+  Array.init 256 (fun n ->
+    let c = ref n in
+    for _ = 0 to 7 do
+      c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+    done;
+    !c)
+
+let crc32_bytewise ?(crc = 0) b ~pos ~len =
+  let table = crc_table in
+  let c = ref (crc lxor 0xFFFFFFFF) in
+  for i = pos to pos + len - 1 do
+    c := table.((!c lxor Bytes.get_uint8 b i) land 0xFF) lxor (!c lsr 8)
+  done;
+  !c lxor 0xFFFFFFFF land 0xFFFFFFFF
+
+let prop_crc32_matches_bytewise =
+  QCheck.Test.make ~name:"crc32 = bytewise reference (every pos, len, chained crc)"
+    ~count:40 QCheck.int (fun seed ->
+      let st = Random.State.make [| seed |] in
+      let b = Bytes.init 2060 (fun _ -> Char.chr (Random.State.int st 256)) in
+      let lens = List.init 41 Fun.id @ [ 2044 ] in
+      List.for_all
+        (fun pos ->
+           List.for_all
+             (fun len ->
+                let whole = crc32_bytewise b ~pos ~len in
+                let split = Random.State.int st (len + 1) in
+                let head = Codec.crc32 b ~pos ~len:split in
+                let prior = crc32_bytewise b ~pos:0 ~len:(Random.State.int st 16) in
+                Codec.crc32 b ~pos ~len = whole
+                && Codec.crc32 ~crc:head b ~pos:(pos + split) ~len:(len - split)
+                   = whole
+                && Codec.crc32 ~crc:prior b ~pos ~len
+                   = crc32_bytewise ~crc:prior b ~pos ~len)
+             lens)
+        (List.init 10 Fun.id))
+
 (* ---- Rng / Zipf ---- *)
 
 let test_rng_deterministic () =
@@ -356,6 +396,7 @@ let suite = [
   qtest prop_zigzag_roundtrip;
   Alcotest.test_case "codec fixed-width" `Quick test_codec_fixed;
   Alcotest.test_case "codec crc32" `Quick test_crc32;
+  qtest prop_crc32_matches_bytewise;
   Alcotest.test_case "rng deterministic" `Quick test_rng_deterministic;
   Alcotest.test_case "rng bounds" `Quick test_rng_bounds;
   Alcotest.test_case "rng float range" `Quick test_rng_float_range;

@@ -306,6 +306,129 @@ let test_driver_smoke () =
   let v = Ghost_db.audit db in
   Alcotest.(check bool) "audit ok after workload" true v.Privacy.ok
 
+(* Polling transfers a finished session to the caller. Before the
+   poll, outcome and usage answer for it; after, the scheduler has
+   forgotten it. *)
+let test_outcome_until_polled () =
+  let db = tiny_db () in
+  let sched =
+    Scheduler.create ~quantum_us:200. (Ghost_db.catalog db) (Ghost_db.public db)
+  in
+  let a = Scheduler.submit sched (best_plan db Queries.demo) in
+  let b = Scheduler.submit sched (best_plan db Queries.demo) in
+  Scheduler.run sched;
+  ignore (completed_exn sched a);
+  ignore (completed_exn sched b);
+  let ua = Scheduler.usage sched a in
+  Alcotest.(check bool) "unpolled usage is charged" true (ua.Device.total_us > 0.);
+  let polled = Scheduler.poll_finished sched in
+  Alcotest.(check (list int)) "both handed over, in completion order" [ a; b ]
+    (List.map (fun f -> f.Scheduler.f_id) polled);
+  Alcotest.(check bool) "the hand-over carries the usage" true
+    ((List.hd polled).Scheduler.f_usage = ua);
+  Alcotest.(check bool) "outcome forgotten" true (Scheduler.outcome sched a = None);
+  Alcotest.(check bool) "usage forgotten" true
+    (Scheduler.usage sched a = Device.zero_usage);
+  Alcotest.(check int) "a second poll is empty" 0
+    (List.length (Scheduler.poll_finished sched));
+  Scheduler.cancel sched a (* a no-op on a polled id *);
+  Alcotest.(check int) "finished count kept" 2
+    (Scheduler.stats sched).Scheduler.finished
+
+(* A closed loop that polls keeps the scheduler's size bounded: it
+   holds no result, rows or step machine of a polled session. The
+   device trace, which logs every query, belongs to the device and is
+   cleared before each measurement. *)
+let test_polled_sessions_bounded () =
+  let db = tiny_db () in
+  let sched =
+    Scheduler.create ~policy:Scheduler.Round_robin ~quantum_us:250.
+      (Ghost_db.catalog db) (Ghost_db.public db)
+  in
+  let plans =
+    Array.of_list
+      (List.map (fun (_, sql) -> best_plan db sql)
+         [ List.nth Queries.all 0; List.nth Queries.all 1 ])
+  in
+  let served = ref 0 and in_flight = ref 0 and first = ref None in
+  let serve target =
+    while !served < target do
+      while !in_flight < 2 && !served + !in_flight < target do
+        let id =
+          Scheduler.submit sched plans.((!served + !in_flight) mod Array.length plans)
+        in
+        if !first = None then first := Some id;
+        incr in_flight
+      done;
+      ignore (Scheduler.step sched);
+      List.iter
+        (fun f ->
+           (match f.Scheduler.f_outcome with
+            | Scheduler.Completed _ -> ()
+            | _ -> Alcotest.failf "session %d did not complete" f.Scheduler.f_id);
+           decr in_flight;
+           incr served)
+        (Scheduler.poll_finished sched)
+    done
+  in
+  let size () =
+    Ghost_db.clear_trace db;
+    Obj.reachable_words (Obj.repr sched)
+  in
+  serve 50;
+  let at_50 = size () in
+  serve 500;
+  let at_500 = size () in
+  if at_500 > 2 * at_50 then
+    Alcotest.failf "scheduler grew from %d words (50 sessions) to %d (500)" at_50
+      at_500;
+  Alcotest.(check bool) "first session forgotten" true
+    (Scheduler.outcome sched (Option.get !first) = None);
+  Alcotest.(check int) "arena clean" 0 (ram_in_use db)
+
+(* The preemption predicate is the clock expression it replaces, to the
+   bit, whatever mix of charges the clock has summed: CPU, USB, and
+   Flash reads and programs on the main region, the scratch region and
+   two session scratch regions. *)
+let test_slice_expired_matches_clock () =
+  let module Flash = Ghost_flash.Flash in
+  let d = Device.create ~trace:(Trace.create ()) () in
+  let regions =
+    [| Device.flash d; Device.scratch d; Device.new_scratch_region d;
+       Device.new_scratch_region d |]
+  in
+  let page_size = (Flash.geometry (Device.flash d)).Flash.page_size in
+  let written = Array.make (Array.length regions) [] in
+  let rng = Random.State.make [| 13 |] in
+  let int n = Random.State.int rng n in
+  for _ = 1 to 3000 do
+    (match int 4 with
+     | 0 -> Device.cpu d (int 5000)
+     | 1 -> Device.receive d (Trace.Query_text "q") ~bytes:(int 3000)
+     | 2 ->
+       let r = int (Array.length regions) in
+       let page = Flash.append regions.(r) (Bytes.make (1 + int page_size) 'p') in
+       written.(r) <- page :: written.(r)
+     | _ -> (
+       let r = int (Array.length regions) in
+       match written.(r) with
+       | [] -> ()
+       | pages ->
+         let page = List.nth pages (int (List.length pages)) in
+         let off = int page_size in
+         ignore (Flash.read regions.(r) ~page ~off ~len:(int (page_size - off + 1)))));
+    let now = Device.elapsed_us d in
+    let start = now -. Random.State.float rng 5000. in
+    List.iter
+      (fun quantum ->
+         let want = now -. start >= quantum in
+         if Device.slice_expired d ~start ~quantum <> want then
+           Alcotest.failf "slice_expired ~start:%h ~quantum:%h <> %b (clock %h)"
+             start quantum want now)
+      [ now -. start; Float.succ (now -. start); Float.pred (now -. start);
+        Random.State.float rng 5000.; infinity ]
+  done
+
 let suite =
   [
     Alcotest.test_case "single session, infinite quantum = Exec.run" `Quick
@@ -321,4 +444,10 @@ let suite =
       test_round_robin_interleaves;
     Alcotest.test_case "invalid arguments are rejected" `Quick test_invalid_args;
     Alcotest.test_case "closed-loop driver smoke" `Quick test_driver_smoke;
+    Alcotest.test_case "outcome and usage answer until polled" `Quick
+      test_outcome_until_polled;
+    Alcotest.test_case "polled sessions keep the scheduler bounded" `Quick
+      test_polled_sessions_bounded;
+    Alcotest.test_case "preemption predicate = clock expression" `Quick
+      test_slice_expired_matches_clock;
   ]
