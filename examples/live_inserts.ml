@@ -22,15 +22,7 @@ let scale = Medical.small
 
 let fresh_prescriptions db rng n =
   let next = Catalog.total_count (Ghost_db.catalog db) "Prescription" + 1 in
-  List.init n (fun i ->
-    [|
-      Value.Int (next + i);
-      Value.Int (Rng.int_in rng 1 10);
-      Value.Int (Rng.int_in rng 1 4);
-      Value.Date (Rng.int_in rng Medical.date_lo Medical.date_hi);
-      Value.Int (1 + Rng.int rng scale.Medical.medicines);
-      Value.Int (1 + Rng.int rng scale.Medical.visits);
-    |])
+  Medical.prescriptions rng scale ~first:next n
 
 let count_prescriptions db =
   match (Ghost_db.query db "SELECT COUNT(*) FROM Prescription Pre").Exec.rows with

@@ -380,21 +380,12 @@ let scale_sweep ?(cardinalities = [ 1_000; 10_000; 50_000; 100_000 ]) () =
 (* ---- E11 inserts ---- *)
 
 let insert_sweep ?(scale = default_scale) () =
-  let module Value = Ghost_kernel.Value in
   let module Rng = Ghost_kernel.Rng in
   let rows_for db rng n =
     let next =
       Catalog.total_count (Ghost_db.catalog db) "Prescription" + 1
     in
-    List.init n (fun i ->
-      [|
-        Value.Int (next + i);
-        Value.Int (Rng.int_in rng 1 10);
-        Value.Int (Rng.int_in rng 1 4);
-        Value.Date (Rng.int_in rng Medical.date_lo Medical.date_hi);
-        Value.Int (1 + Rng.int rng scale.Medical.medicines);
-        Value.Int (1 + Rng.int rng scale.Medical.visits);
-      |])
+    Medical.prescriptions rng scale ~first:next n
   in
   let db = make_db scale in
   let rng = Rng.create 77 in
@@ -440,19 +431,10 @@ let insert_sweep ?(scale = default_scale) () =
 (* ---- E15 robustness: fault injection overhead ---- *)
 
 let robustness ?(scale = default_scale) () =
-  let module Value = Ghost_kernel.Value in
   let module Rng = Ghost_kernel.Rng in
   let insert_rows db rng n =
     let next = Catalog.total_count (Ghost_db.catalog db) "Prescription" + 1 in
-    List.init n (fun i ->
-      [|
-        Value.Int (next + i);
-        Value.Int (Rng.int_in rng 1 10);
-        Value.Int (Rng.int_in rng 1 4);
-        Value.Date (Rng.int_in rng Medical.date_lo Medical.date_hi);
-        Value.Int (1 + Rng.int rng scale.Medical.medicines);
-        Value.Int (1 + Rng.int rng scale.Medical.visits);
-      |])
+    Medical.prescriptions rng scale ~first:next n
   in
   let flash_faults ~flip ~fail =
     Some { Flash.no_faults with
@@ -631,7 +613,6 @@ let page_cache_sweep ?metrics ?(scale = default_scale) () =
 (* ---- E17 journaled reorganization: rebuild cost + recovery time ---- *)
 
 let reorg_cost ?metrics ?(scale = default_scale) () =
-  let module Value = Ghost_kernel.Value in
   let module Rng = Ghost_kernel.Rng in
   let durable = { Device.default_config with Device.durable_logs = true } in
   let attach db =
@@ -644,15 +625,7 @@ let reorg_cost ?metrics ?(scale = default_scale) () =
     let rng = Rng.create 51 in
     let next = Catalog.total_count (Ghost_db.catalog db) "Prescription" + 1 in
     Ghost_db.insert db
-      (List.init pending (fun i ->
-         [|
-           Value.Int (next + i);
-           Value.Int (Rng.int_in rng 1 10);
-           Value.Int (Rng.int_in rng 1 4);
-           Value.Date (Rng.int_in rng Medical.date_lo Medical.date_hi);
-           Value.Int (1 + Rng.int rng scale.Medical.medicines);
-           Value.Int (1 + Rng.int rng scale.Medical.visits);
-         |]));
+      (Medical.prescriptions rng scale ~first:next pending);
     let doomed =
       List.init (max 1 (pending / 10)) (fun i ->
         1 + ((i * 37) mod scale.Medical.prescriptions))
@@ -739,7 +712,6 @@ let reorg_cost ?metrics ?(scale = default_scale) () =
 (* ---- E12 lifecycle: deletes + reorganization ---- *)
 
 let lifecycle ?(scale = default_scale) () =
-  let module Value = Ghost_kernel.Value in
   let module Rng = Ghost_kernel.Rng in
   let rng = Rng.create 99 in
   let db = ref (make_db scale) in
@@ -748,15 +720,7 @@ let lifecycle ?(scale = default_scale) () =
   let insert n =
     let next = Catalog.total_count (Ghost_db.catalog !db) "Prescription" + 1 in
     Ghost_db.insert !db
-      (List.init n (fun i ->
-         [|
-           Value.Int (next + i);
-           Value.Int (Rng.int_in rng 1 10);
-           Value.Int (Rng.int_in rng 1 4);
-           Value.Date (Rng.int_in rng Medical.date_lo Medical.date_hi);
-           Value.Int (1 + Rng.int rng scale.Medical.medicines);
-           Value.Int (1 + Rng.int rng scale.Medical.visits);
-         |]))
+      (Medical.prescriptions rng scale ~first:next n)
   in
   let delete n =
     (* delete random live loaded rows *)
@@ -794,7 +758,8 @@ let lifecycle ?(scale = default_scale) () =
   let r2 = step "delete 300" (fun () -> delete 300) in
   let r3 = step "insert 500" (fun () -> insert 500) in
   let r4 =
-    (* the snapshot cost lands on the OLD device's clock *)
+    (* the snapshot reads and journal programs land on the OLD
+       device's clock *)
     let old_device = device () in
     let t0 = Device.elapsed_us old_device in
     db := Ghost_db.reorganize !db;
@@ -816,8 +781,9 @@ let lifecycle ?(scale = default_scale) () =
       [
         "the delta/tombstone tax accumulates until the offline reorganization \
          (secure-setting reload) folds the logs back into the indexed structures";
-        "'op time' for reorganize is the device-side read cost of snapshotting the \
-         logical state (rebuild happens offline)";
+        "'op time' for reorganize is charged to the old device: the read cost of \
+         snapshotting the logical state plus the reorg journal's begin, checkpoint \
+         and commit programs (the rebuild itself happens offline)";
       ]
     rows
 
@@ -1718,7 +1684,6 @@ let oblivious_frontier ?metrics ?(scale = default_scale) () =
 (* ---- E23 write-heavy: leveled log runs vs the flat delta log ---- *)
 
 let write_heavy ?metrics ?(scale = default_scale) () =
-  let module Value = Ghost_kernel.Value in
   let module Rng = Ghost_kernel.Rng in
   let module Metrics = Ghost_metrics.Metrics in
   let module Delta_log = Ghostdb.Delta_log in
@@ -1728,15 +1693,7 @@ let write_heavy ?metrics ?(scale = default_scale) () =
     let next =
       Catalog.total_count (Ghost_db.catalog db) "Prescription" + 1
     in
-    List.init n (fun i ->
-      [|
-        Value.Int (next + i);
-        Value.Int (Rng.int_in rng 1 10);
-        Value.Int (Rng.int_in rng 1 4);
-        Value.Date (Rng.int_in rng Medical.date_lo Medical.date_hi);
-        Value.Int (1 + Rng.int rng scale.Medical.medicines);
-        Value.Int (1 + Rng.int rng scale.Medical.visits);
-      |])
+    Medical.prescriptions rng scale ~first:next n
   in
   (* Probe windows over the base key range: a visible root-key fence
      plus a hidden predicate, so every probe pays a DeltaScan — fenced

@@ -34,13 +34,13 @@ module Flash = Ghost_flash.Flash
     changes: the flat format and all observable behavior stay
     bit-identical to the seed. See DESIGN.md section 16. *)
 
-type durability =
+type durability = Ghost_store.Page_log.format =
   | Plain  (** raw records, no torn-write detection (the seed format) *)
   | Checksummed
-      (** every page carries a header — magic, the sequence number of
-          its first record, a record count and a CRC-32 over header and
-          payload (see {!Ghost_kernel.Codec.crc32}) — so a page torn by
-          a power cut or corrupted by uncorrected bit-rot is
+      (** every L0 page carries the {!Ghost_store.Page_log} header —
+          magic ["GDLT"], the sequence number of its first record, a
+          record count and a CRC-32 over header and payload — so a page
+          torn by a power cut or corrupted by uncorrected bit-rot is
           detectable, at the price of [20] bytes per page *)
 
 type runs_policy = {
@@ -71,8 +71,6 @@ val create :
     {!Flash.append} recycles erased pages the cache may still hold.
     [runs] — omit for the seed's flat log; supply a policy to enable
     leveled compaction. *)
-
-val durability : t -> durability
 
 val table : t -> string
 val count : t -> int
@@ -194,14 +192,12 @@ type row = {
   hidden : Value.t array;  (** aligned with [hidden_cols] *)
 }
 
-val scan :
-  ?ram:Ghost_device.Ram.t -> t -> (row -> unit) -> unit
+val scan : t -> (row -> unit) -> unit
 (** Sequential metered read of the whole log: installed runs oldest
     first, then the L0 pages — ascending root-id order throughout,
     matching the flat log's append order. *)
 
-val scan_range :
-  ?ram:Ghost_device.Ram.t -> ?lo:int -> ?hi:int -> t -> (row -> unit) -> unit
+val scan_range : ?lo:int -> ?hi:int -> t -> (row -> unit) -> unit
 (** {!scan} that skips run pages whose key fences fall outside
     [[lo, hi]] — the merge-on-read fast path. Emits a {e superset} of
     the rows in range (page granularity; L0 is always read whole), so

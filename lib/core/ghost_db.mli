@@ -101,19 +101,19 @@ val reorganize : t -> t
 (** Offline reorganization (the secure-setting reload): reads the
     current logical state off the device and the public store, compacts
     root ids (tombstoned gaps close, so root keys change), rebuilds
-    every index structure, and returns a fresh instance. The read cost
-    is charged to the old device's clock. Refuses to run (raises
-    [Failure]) while a log {!needs_recovery}.
+    every index structure, and returns a fresh instance. Refuses to run
+    (raises [Failure]) while a log {!needs_recovery}.
 
-    With [durable_logs] set the rebuild runs as a {e journaled shadow
-    build} ({!Reorg}): each phase writes a checksummed checkpoint
-    record to a reorg journal on the old device's Flash and a single
-    commit record flips the live image. A power cut mid-rebuild raises
-    {!Ghost_flash.Flash.Power_cut} and leaves the instance
-    {!needs_recovery}: {!recover} then either rolls the rebuild
-    forward from the last durable checkpoint or rolls back to the
-    intact pre-reorg image. Without [durable_logs] the rebuild is the
-    seed's one-shot path, bit-identical, journal-free. *)
+    The rebuild is always a {e journaled shadow build} ({!Reorg}): a
+    begin record, then after each phase a checksummed checkpoint record
+    on a reorg journal on the old device's Flash, and a single commit
+    record that flips the live image. The snapshot reads and the
+    journal programs are charged to the old device's clock. A power cut
+    mid-rebuild raises {!Ghost_flash.Flash.Power_cut} and leaves the
+    instance {!needs_recovery}: {!recover} then either rolls the
+    rebuild forward from the last durable checkpoint or rolls back to
+    the intact pre-reorg image. [durable_logs] only picks the log page
+    format. *)
 
 (** {2 Crash recovery}
 

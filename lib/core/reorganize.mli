@@ -1,17 +1,12 @@
 module Relation = Ghost_relation.Relation
 module Public_store = Ghost_public.Public_store
 
-(** Offline reorganization (the secure-setting reload).
+(** Offline reorganization's read pass: the logical snapshot.
 
-    This module deliberately remains alongside {!Reorg}: it is the
-    shared *snapshot* primitive, not a competing implementation.
-    {!Reorg} owns the journaled, crash-safe rebuild protocol
-    (checkpoints, shadow device, roll-back/roll-forward) and calls
-    {!snapshot} for its read pass; {!Ghost_db.reorganize} with durable
-    logs off uses {!snapshot} directly for the legacy one-shot rebuild,
-    which keeps that path bit-identical to the pre-journal seed and
-    free of journal Flash traffic. Collapsing the two would force the
-    non-durable path through journal machinery it must not touch.
+    {!Reorg} runs the one reorganizer — the journaled, crash-safe
+    shadow build behind {!Ghost_db.reorganize} — and calls {!snapshot}
+    for its first phase, and the fleet's replica repair calls it to
+    copy a healthy peer. This module only reads; it writes no Flash.
 
     Reconstructs the database's current logical content — loaded rows,
     plus the insert delta, minus the tombstoned rows — by reading the
@@ -19,8 +14,8 @@ module Public_store = Ghost_public.Public_store
     and the visible columns from the public store. Root ids are
     compacted to stay dense (tombstoned gaps close), so root keys
     change across a reorganization; dimension ids are stable. The
-    caller reloads the snapshot through {!Loader.load} to obtain fresh
-    SKTs, climbing indexes and empty logs. *)
+    caller reloads the snapshot through {!Loader} to obtain fresh SKTs,
+    climbing indexes and empty logs. *)
 
 val snapshot : Catalog.t -> Public_store.t -> (string * Relation.tuple list) list
 (** Full rows per table, loader-ready (dense keys). Refuses to run

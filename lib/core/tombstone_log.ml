@@ -1,148 +1,42 @@
 module Codec = Ghost_kernel.Codec
 module Sorted_ids = Ghost_kernel.Sorted_ids
 module Flash = Ghost_flash.Flash
-module Page_cache = Ghost_device.Page_cache
+module Page_log = Ghost_store.Page_log
 
-type durability =
+type durability = Page_log.format =
   | Plain
   | Checksummed
 
-(* Same page header as Delta_log, under a tombstone-specific magic:
-   magic (u32) | first_seq (u64) | count (u32) | crc32 (u32). *)
 let magic = 0x47544D42  (* "GTMB" *)
-let header_bytes = 20
 
 type t = {
-  flash : Flash.t;
   table : string;
-  ids_per_page : int;
-  durability : durability;
-  cache : Page_cache.t option;
-      (* invalidated when an append programs a recycled Flash page *)
-  mutable full_pages : int list;  (* reversed *)
-  mutable tail : int list;  (* reversed *)
-  mutable tail_page : int option;
-  mutable stale_tails : int list;  (* superseded tail programs, newest first *)
-  mutable count : int;
-  mutable dead_bytes : int;
-  mutable needs_recovery : bool;
-  mutable torn_page : int option;
+  log : Page_log.t;  (* one 4-byte record per deleted root id *)
   members : (int, unit) Hashtbl.t;
 }
 
 let create ?(durability = Plain) ?cache flash ~table =
-  let page = (Flash.geometry flash).Flash.page_size in
-  let usable =
-    match durability with
-    | Plain -> page
-    | Checksummed -> page - header_bytes
-  in
-  if usable < 4 then invalid_arg "Tombstone_log.create: page too small";
   {
-    flash;
     table;
-    ids_per_page = usable / 4;
-    durability;
-    cache;
-    full_pages = [];
-    tail = [];
-    tail_page = None;
-    stale_tails = [];
-    count = 0;
-    dead_bytes = 0;
-    needs_recovery = false;
-    torn_page = None;
+    log = Page_log.create ~format:durability ?cache flash ~magic ~record_bytes:4;
     members = Hashtbl.create 64;
   }
 
 let table t = t.table
-let count t = t.count
-let size_bytes t = 4 * t.count
-let dead_bytes t = t.dead_bytes
-let durability t = t.durability
-let needs_recovery t = t.needs_recovery
+let count t = Page_log.count t.log
+let needs_recovery t = Page_log.needs_recovery t.log
 let mem t id = Hashtbl.mem t.members id
-
-let payload_off t =
-  match t.durability with Plain -> 0 | Checksummed -> header_bytes
-
-(* Page image holding the ids of [tail] (stored oldest first). *)
-let build_page t ~first_seq n =
-  let off = payload_off t in
-  let b = Bytes.create (off + (4 * n)) in
-  List.iteri (fun i id -> Codec.put_u32 b (off + (4 * (n - 1 - i))) id) t.tail;
-  (match t.durability with
-   | Plain -> ()
-   | Checksummed ->
-     Codec.put_u32 b 0 magic;
-     Codec.put_u64 b 4 first_seq;
-     Codec.put_u32 b 12 n;
-     let crc =
-       Codec.crc32 b ~pos:0 ~len:16
-       |> fun crc -> Codec.crc32 ~crc b ~pos:header_bytes ~len:(4 * n)
-     in
-     Codec.put_u32 b 16 crc);
-  b
-
-(* Checksummed read-back: validates magic, count and CRC; returns the
-   first sequence number and the ids, oldest first. *)
-let parse_page t page =
-  match Flash.read_page t.flash page with
-  | exception Invalid_argument _ -> None
-  | b ->
-    if Codec.get_u32 b 0 <> magic then None
-    else begin
-      let first_seq = Codec.get_u64 b 4 in
-      let n = Codec.get_u32 b 12 in
-      let stored_crc = Codec.get_u32 b 16 in
-      if n < 1 || n > t.ids_per_page then None
-      else begin
-        let crc =
-          Codec.crc32 b ~pos:0 ~len:16
-          |> fun crc -> Codec.crc32 ~crc b ~pos:header_bytes ~len:(4 * n)
-        in
-        if crc <> stored_crc then None
-        else
-          Some
-            (first_seq, List.init n (fun i -> Codec.get_u32 b (header_bytes + (4 * i))))
-      end
-    end
-
-let program_tail t =
-  let n = List.length t.tail in
-  let first_seq = t.ids_per_page * List.length t.full_pages in
-  let b = build_page t ~first_seq n in
-  (match t.tail_page with
-   | Some _ -> t.dead_bytes <- t.dead_bytes + (4 * (n - 1))
-   | None -> ());
-  match Flash.append t.flash b with
-  | page ->
-    (* The append may have recycled an erased page still resident in
-       the shared cache. *)
-    Option.iter (fun c -> Page_cache.invalidate c ~page) t.cache;
-    (match t.tail_page with
-     | Some old -> t.stale_tails <- old :: t.stale_tails
-     | None -> ());
-    if n = t.ids_per_page then begin
-      t.full_pages <- page :: t.full_pages;
-      t.tail <- [];
-      t.tail_page <- None
-    end
-    else t.tail_page <- Some page
-  | exception (Flash.Power_cut { page; _ } as e) ->
-    t.needs_recovery <- true;
-    t.torn_page <- Some page;
-    raise e
+let id_of record = Codec.get_u32 (Bytes.unsafe_of_string record) 0
 
 let append t ids =
-  if t.needs_recovery then
+  if needs_recovery t then
     invalid_arg "Tombstone_log.append: log needs recovery after a power cut";
   List.iter
     (fun id ->
-       t.tail <- id :: t.tail;
-       t.count <- t.count + 1;
+       let b = Bytes.create 4 in
+       Codec.put_u32 b 0 id;
        Hashtbl.replace t.members id ();
-       program_tail t)
+       Page_log.append t.log (Bytes.unsafe_to_string b))
     ids
 
 type recovery = {
@@ -151,76 +45,14 @@ type recovery = {
   torn_pages : int;
 }
 
-(* Same protocol as {!Delta_log.recover}: keep the longest
-   checksum-valid, sequence-continuous prefix; rebuild the volatile
-   membership table from it. *)
 let recover t =
-  (match t.durability with
-   | Checksummed -> ()
-   | Plain ->
-     invalid_arg
-       "Tombstone_log.recover: log is not checksummed (create ~durability:Checksummed)");
-  let torn = ref (match t.torn_page with Some _ -> 1 | None -> 0) in
-  let old_count = t.count in
-  let durable_ids = ref [] in
-  let rec verify_full acc n = function
-    | [] -> (acc, n, true)
-    | p :: rest ->
-      (match parse_page t p with
-       | Some (first_seq, ids)
-         when first_seq = n * t.ids_per_page && List.length ids = t.ids_per_page ->
-         durable_ids := List.rev_append ids !durable_ids;
-         verify_full (p :: acc) (n + 1) rest
-       | _ ->
-         incr torn;
-         (acc, n, false))
-  in
-  let full_rev, n_full, full_intact = verify_full [] 0 (List.rev t.full_pages) in
-  let expected_seq = n_full * t.ids_per_page in
-  let candidates =
-    if not full_intact then []
-    else (match t.tail_page with Some p -> [ p ] | None -> []) @ t.stale_tails
-  in
-  let rec pick = function
-    | [] -> (None, [])
-    | p :: rest ->
-      (match parse_page t p with
-       | Some (first_seq, ids) when first_seq = expected_seq -> (Some (p, ids), rest)
-       | _ ->
-         incr torn;
-         pick rest)
-  in
-  let tail_winner, older = pick candidates in
-  (match tail_winner with
-   | Some (page, ids) ->
-     t.tail <- List.rev ids;
-     t.tail_page <- Some page;
-     t.stale_tails <- older;
-     t.count <- expected_seq + List.length ids;
-     durable_ids := List.rev_append ids !durable_ids
-   | None ->
-     t.tail <- [];
-     t.tail_page <- None;
-     t.stale_tails <- [];
-     t.count <- expected_seq);
-  t.full_pages <- full_rev;
+  let durable = ref [] in
+  let r = Page_log.recover t.log ~on_record:(fun rc -> durable := id_of rc :: !durable) in
   Hashtbl.reset t.members;
-  List.iter (fun id -> Hashtbl.replace t.members id ()) !durable_ids;
-  t.needs_recovery <- false;
-  t.torn_page <- None;
-  { recovered = t.count; lost = old_count - t.count; torn_pages = !torn }
+  List.iter (fun id -> Hashtbl.replace t.members id ()) !durable;
+  { recovered = count t; lost = r.Page_log.lost; torn_pages = r.Page_log.torn_pages }
 
 let load_sorted t =
   let acc = ref [] in
-  let off = payload_off t in
-  let read_page page n =
-    let b = Flash.read t.flash ~page ~off ~len:(4 * n) in
-    for i = 0 to n - 1 do
-      acc := Codec.get_u32 b (4 * i) :: !acc
-    done
-  in
-  List.iter (fun p -> read_page p t.ids_per_page) (List.rev t.full_pages);
-  (match t.tail_page with
-   | Some p -> read_page p (List.length t.tail)
-   | None -> ());
+  Page_log.iter t.log (fun b off -> acc := Codec.get_u32 b off :: !acc);
   Sorted_ids.of_unsorted !acc

@@ -9,13 +9,15 @@ module Flash = Ghost_flash.Flash
     filters candidates against it. Offline reorganization compacts the
     database and empties the log.
 
-    Like inserts, deletes apply to the schema root only. *)
+    The log is a {!Ghost_store.Page_log} of 4-byte records, one root
+    id each, plus a host-side membership table. Like inserts, deletes
+    apply to the schema root only. *)
 
-type durability =
+type durability = Ghost_store.Page_log.format =
   | Plain  (** raw ids, no torn-write detection (the seed format) *)
   | Checksummed
-      (** pages carry the same header as {!Delta_log.Checksummed}
-          (magic, first sequence number, count, CRC-32), enabling
+      (** pages carry the {!Ghost_store.Page_log} header (magic
+          ["GTMB"], first sequence number, count, CRC-32), enabling
           post-crash recovery *)
 
 type t
@@ -32,14 +34,11 @@ val create :
 
 val table : t -> string
 val count : t -> int
-val size_bytes : t -> int
-val dead_bytes : t -> int
-val durability : t -> durability
 
 val append : t -> int list -> unit
-(** Records deletions (same tail-page re-programming discipline as
-    {!Delta_log}). Duplicates are the caller's responsibility. Each id
-    programs its own tail page, so a power cut mid-batch leaves a
+(** Records deletions (the {!Ghost_store.Page_log} tail-page
+    re-programming discipline). Duplicates are the caller's
+    responsibility. Each id programs its own tail page, so a power cut mid-batch leaves a
     durable prefix of the batch; on [Flash.Power_cut] the log refuses
     further appends until {!recover} runs. *)
 
@@ -52,9 +51,9 @@ type recovery = {
 }
 
 val recover : t -> recovery
-(** Post-crash scan (metered); see {!Delta_log.recover}. Rebuilds the
-    host-side membership table from the durable pages. Raises
-    [Invalid_argument] on a [Plain] log. *)
+(** Post-crash scan (metered); see {!Ghost_store.Page_log.recover}.
+    Rebuilds the host-side membership table from the durable pages.
+    Raises [Invalid_argument] on a [Plain] log. *)
 
 val mem : t -> int -> bool
 (** Host-side membership (validation); not Flash-metered. *)

@@ -56,6 +56,13 @@ val medicine_types : string array
 
 val countries : string array
 
+val prescriptions :
+  Ghost_kernel.Rng.t -> scale -> first:int -> int -> Relation.tuple list
+(** [prescriptions rng scale ~first n] — [n] Prescription rows with
+    keys [first .. first + n - 1], drawn from [rng] and referencing
+    rows of [scale]'s Medicine and Visit tables: the generator's own
+    draw, also used to make rows for inserts. *)
+
 val generate : ?seed:int -> scale -> (string * Relation.tuple list) list
 (** Full rows per table (key first), dense ids 1..N — ready for both
     the public store and the GhostDB loader. *)

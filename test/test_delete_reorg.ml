@@ -105,12 +105,7 @@ let test_reorganize_compacts_and_answers () =
   let rng = Rng.create 11 in
   let next = Medical.tiny.Medical.prescriptions + 1 in
   Ghost_db.insert db
-    (List.init 40 (fun i ->
-       [| Value.Int (next + i); Value.Int (Rng.int_in rng 1 10);
-          Value.Int (Rng.int_in rng 1 4);
-          Value.Date (Rng.int_in rng Medical.date_lo Medical.date_hi);
-          Value.Int (1 + Rng.int rng Medical.tiny.Medical.medicines);
-          Value.Int (1 + Rng.int rng Medical.tiny.Medical.visits) |]));
+    (Medical.prescriptions rng Medical.tiny ~first:next 40);
   Ghost_db.delete db [ 3; 17; 120; next; next + 5 ];
   Ghost_db.delete db (List.init 20 (fun i -> 200 + i));
   let live = Medical.tiny.Medical.prescriptions + 40 - 25 in
@@ -158,12 +153,7 @@ let test_reorganize_restores_speed () =
   let scale = Medical.small in
   let next = scale.Medical.prescriptions + 1 in
   Ghost_db.insert db
-    (List.init 1500 (fun i ->
-       [| Value.Int (next + i); Value.Int (Rng.int_in rng 1 10);
-          Value.Int (Rng.int_in rng 1 4);
-          Value.Date (Rng.int_in rng Medical.date_lo Medical.date_hi);
-          Value.Int (1 + Rng.int rng scale.Medical.medicines);
-          Value.Int (1 + Rng.int rng scale.Medical.visits) |]));
+    (Medical.prescriptions rng scale ~first:next 1500);
   let slow = (Ghost_db.query db Queries.demo).Exec.elapsed_us in
   let fresh = Ghost_db.reorganize db in
   let fast = (Ghost_db.query fresh Queries.demo).Exec.elapsed_us in

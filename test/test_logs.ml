@@ -196,6 +196,88 @@ let test_tombstone_power_cut_recovery () =
   Tombstone_log.append log [ 7; 4 ];
   check Alcotest.int "resumes" 6 (Tombstone_log.count log)
 
+(* Golden on-flash layout. A 64-byte page keeps each image short
+   enough to pin in full: a Checksummed page is the 20-byte header
+   (magic, first sequence number, record count, CRC-32 over the rest
+   of the header and the payload), then the records; a Plain page is
+   the records alone. Each expected image below lists the header
+   fields in that order, then one record per chunk. Pages are zero-padded past the programmed
+   prefix. Any change to these bytes breaks every saved device image. *)
+
+let small_flash () =
+  Flash.create ~geometry:{ Flash.page_size = 64; pages_per_block = 8 } ()
+
+let hex b =
+  String.concat "" (List.init (Bytes.length b) (fun i ->
+      Printf.sprintf "%02x" (Char.code (Bytes.get b i))))
+
+(* [chunks] concatenated, zero-padded to the page, against the page. *)
+let check_page f page label chunks =
+  let expected = String.concat "" chunks in
+  let expected = expected ^ String.make (128 - String.length expected) '0' in
+  check Alcotest.string label expected (hex (Flash.read_page f page))
+
+let golden_delta ?durability () =
+  let f = small_flash () in
+  let log =
+    Delta_log.create ?durability f ~table:"R" ~levels:[ "R"; "A" ]
+      ~hidden_cols:[ ("q", Value.T_int) ]
+  in
+  (f, log)
+
+let golden_append log i =
+  Delta_log.append log ~ids:[| i; 10 + i |] ~hidden:[| Value.Int (1000 * i) |]
+
+let test_golden_checksummed_delta () =
+  let f, log = golden_delta ~durability:Delta_log.Checksummed () in
+  (* 16-byte records, 2 per checksummed page: three appends program a
+     one-record tail (page 0), the full page 1 and a new tail (page 2) *)
+  List.iter (golden_append log) [ 1; 2; 3 ];
+  check Alcotest.int "pages programmed" 3 (Flash.page_count f);
+  let before = Flash.stats f in
+  let seen = ref [] in
+  Delta_log.scan log (fun r -> seen := r.Delta_log.ids.(0) :: !seen);
+  let s = Flash.diff_stats ~after:(Flash.stats f) ~before in
+  check Alcotest.(list int) "scan order" [ 1; 2; 3 ] (List.rev !seen);
+  check Alcotest.int "L0 scan: one read per live page" 2 s.Flash.page_reads;
+  check Alcotest.int "L0 scan: payload bytes only" 48 s.Flash.bytes_read;
+  check (Alcotest.float 1e-9) "L0 scan: read time" 51.2 s.Flash.read_time_us;
+  check_page f 1 "full page"
+    [ "47444c54"; "0000000000000000"; "00000002"; "2eb6af08";
+      "000000010000000b80000000000003e8";
+      "000000020000000c80000000000007d0" ];
+  check_page f 2 "partial tail"
+    [ "47444c54"; "0000000000000002"; "00000001"; "ccccf479";
+      "000000030000000d8000000000000bb8" ]
+
+let test_golden_checksummed_tombstones () =
+  let f = small_flash () in
+  let log = Tombstone_log.create ~durability:Tombstone_log.Checksummed f ~table:"R" in
+  (* 4-byte ids, 11 per checksummed page: page 10 is the first full
+     page, page 12 the two-id tail after it *)
+  Tombstone_log.append log (List.init 13 (fun i -> 13 - i));
+  check Alcotest.int "pages programmed" 13 (Flash.page_count f);
+  check_page f 10 "full page"
+    [ "47544d42"; "0000000000000000"; "0000000b"; "999b27cd";
+      "0000000d"; "0000000c"; "0000000b"; "0000000a"; "00000009"; "00000008";
+      "00000007"; "00000006"; "00000005"; "00000004"; "00000003" ];
+  check_page f 12 "partial tail"
+    [ "47544d42"; "000000000000000b"; "00000002"; "5cb87355";
+      "00000002"; "00000001" ]
+
+let test_golden_plain_delta () =
+  let f, log = golden_delta () in
+  (* 4 records per plain page: page 3 is full, page 4 the tail *)
+  List.iter (golden_append log) [ 1; 2; 3; 4; 5 ];
+  check Alcotest.int "pages programmed" 5 (Flash.page_count f);
+  check_page f 3 "full page"
+    [ "000000010000000b80000000000003e8";
+      "000000020000000c80000000000007d0";
+      "000000030000000d8000000000000bb8";
+      "000000040000000e8000000000000fa0" ];
+  check_page f 4 "partial tail"
+    [ "000000050000000f8000000000001388" ]
+
 let suite = [
   Alcotest.test_case "delta roundtrip" `Quick test_delta_roundtrip;
   Alcotest.test_case "delta checksummed roundtrip" `Quick test_delta_checksummed_roundtrip;
@@ -208,4 +290,8 @@ let suite = [
   Alcotest.test_case "delta write amplification" `Quick test_delta_write_amplification;
   Alcotest.test_case "tombstones" `Quick test_tombstones;
   Alcotest.test_case "tombstones across pages" `Quick test_tombstones_many_pages;
+  Alcotest.test_case "golden checksummed delta page" `Quick test_golden_checksummed_delta;
+  Alcotest.test_case "golden checksummed tombstone page" `Quick
+    test_golden_checksummed_tombstones;
+  Alcotest.test_case "golden plain page" `Quick test_golden_plain_delta;
 ]

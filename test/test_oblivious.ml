@@ -272,15 +272,7 @@ let test_rows_after_mutations config () =
   let rng = Rng.create 11 in
   let next = Medical.tiny.Medical.prescriptions + 1 in
   let batch =
-    List.init 300 (fun i ->
-      [|
-        Value.Int (next + i);
-        Value.Int (Rng.int_in rng 1 10);
-        Value.Int (Rng.int_in rng 1 4);
-        Value.Date (Rng.int_in rng Medical.date_lo Medical.date_hi);
-        Value.Int (1 + Rng.int rng Medical.tiny.Medical.medicines);
-        Value.Int (1 + Rng.int rng Medical.tiny.Medical.visits);
-      |])
+    Medical.prescriptions rng Medical.tiny ~first:next 300
   in
   Ghost_db.insert db batch;
   Ghost_db.delete db [ 1; 7; 42; next + 3 ];

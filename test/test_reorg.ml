@@ -251,15 +251,7 @@ let test_rollforward_medical_matches_reference () =
   in
   let rng = Rng.create 7 in
   let batch =
-    List.init 10 (fun i ->
-      [|
-        Value.Int (scale.Medical.prescriptions + i + 1);
-        Value.Int (Rng.int_in rng 1 10);
-        Value.Int (Rng.int_in rng 1 4);
-        Value.Date (Rng.int_in rng Medical.date_lo Medical.date_hi);
-        Value.Int (1 + Rng.int rng scale.Medical.medicines);
-        Value.Int (1 + Rng.int rng scale.Medical.visits);
-      |])
+    Medical.prescriptions rng scale ~first:(scale.Medical.prescriptions + 1) 10
   in
   Ghost_db.insert db batch;
   (* Program 1 is the Begin record and program 2 the snapshot
